@@ -10,6 +10,7 @@ sparse form so that equality is structural.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .modp import Prime
@@ -298,9 +299,6 @@ class Element:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_homogeneous(self) -> bool:
-        return bidegree_of(self) is not INHOMOGENEOUS
-
     # -- arithmetic -----------------------------------------------------------
 
     def _merged_algebra(self, other: "Element") -> AlgebraPresentation:
@@ -368,19 +366,6 @@ class Element:
         key = self.algebra.sort_key
         return sorted(self.terms.items(), key=lambda t: key(t[0]))
 
-    def homogeneous_components(self) -> dict[Bidegree, "Element"]:
-        parts: dict[Bidegree, dict[Monomial, int]] = {}
-        for mono, coeff in self.terms.items():
-            bd = self.algebra.mono_bidegree(mono)
-            parts.setdefault(bd, {})[mono] = coeff
-        return {bd: self.algebra.from_terms(t) for bd, t in sorted(
-            parts.items(), key=lambda kv: (kv[0].weight, kv[0].degree))}
-
-    def weight_component(self, weight: int) -> "Element":
-        keep = {m: c for m, c in self.terms.items()
-                if self.algebra.mono_bidegree(m).weight == weight}
-        return self.algebra.from_terms(keep)
-
     # -- rendering ------------------------------------------------------------
 
     def render(self) -> str:
@@ -447,6 +432,7 @@ def validate_realizability(x: Element) -> bool:
     return all(x.algebra.mono_bidegree(m).is_realizable for m in x.terms)
 
 
+@lru_cache(maxsize=64)
 def polynomial_algebra(p: Prime, n: int, prefix: str = "c") -> AlgebraPresentation:
     """F_p[c_1, ..., c_n] with c_i of bidegree (2i, i)."""
     gens = tuple(even_gen(f"{prefix}{i}", i) for i in range(1, n + 1))

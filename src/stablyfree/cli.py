@@ -313,11 +313,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first call to main, so that importing the module stays cheap
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     if getattr(args, "shape", None) in ("gl", "sp", "so") and args.n is None:
-        parser.error("obstruct needs --n")
+        _PARSER.error("obstruct needs --n")
     try:
         return args.func(args)
     except CliError as e:

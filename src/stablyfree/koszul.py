@@ -11,9 +11,11 @@ obstructions consume.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
+from types import MappingProxyType
 
 from .algebra import (AlgebraPresentation, GeneratorSpec, Monomial,
                       even_gen, iter_monomials, odd_gen)
@@ -101,18 +103,21 @@ class TorEntry:
     basis: tuple[str, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TorTable:
     """Bigraded Tor dimensions with named coset-representative bases.
 
     Keys are (homological index i, internal degree q, weight j); here all
     internal classes sit on the Chow diagonal, so q = 2j throughout.
+    Tables are cached and shared, so both mappings are read-only.
     """
 
     modulus: int
     degree_bound: int
-    entries: dict[tuple[int, int, int], TorEntry] = field(default_factory=dict)
-    chain_dims: dict[tuple[int, int, int], int] = field(default_factory=dict)
+    entries: Mapping[tuple[int, int, int], TorEntry] = field(
+        default_factory=lambda: MappingProxyType({}))
+    chain_dims: Mapping[tuple[int, int, int], int] = field(
+        default_factory=lambda: MappingProxyType({}))
 
     def rows(self) -> list[tuple[tuple[int, int, int], TorEntry]]:
         return sorted(self.entries.items(),
@@ -189,7 +194,8 @@ def koszul_homology(cx: KoszulComplex, degree_bound: int) -> TorTable:
     if degree_bound < 0:
         raise ValueError("degree bound must be nonnegative")
     p = cx.modulus.value
-    table = TorTable(p, degree_bound)
+    entries: dict[tuple[int, int, int], TorEntry] = {}
+    chain_dims: dict[tuple[int, int, int], int] = {}
     max_index = len(cx.base)
     for weight in range(degree_bound // 2 + 1):
         bases = {m: cx.chain_basis(m, weight) for m in range(max_index + 2)}
@@ -211,7 +217,7 @@ def koszul_homology(cx: KoszulComplex, degree_bound: int) -> TorTable:
         for m in range(max_index + 1):
             n_chains = len(bases[m])
             if n_chains:
-                table.chain_dims[(m, 2 * weight, weight)] = n_chains
+                chain_dims[(m, 2 * weight, weight)] = n_chains
             if n_chains == 0:
                 continue
             if m == 0:
@@ -223,8 +229,9 @@ def koszul_homology(cx: KoszulComplex, degree_bound: int) -> TorTable:
             if not reps:
                 continue
             names = tuple(_render_chain_vector(v, bases[m]) for v in reps)
-            table.entries[(m, 2 * weight, weight)] = TorEntry(len(reps), names)
-    return table
+            entries[(m, 2 * weight, weight)] = TorEntry(len(reps), names)
+    return TorTable(p, degree_bound, MappingProxyType(entries),
+                    MappingProxyType(chain_dims))
 
 
 def homogeneous_space_complex(family: str, n: int, r: int, p: Prime) -> KoszulComplex:
@@ -252,12 +259,6 @@ def _tor_table_cached(family: str, n: int, r: int, p_value: int,
     return table
 
 
-def _default_params(family: str, n: int, r: int | None) -> int:
-    if r is None:
-        r = 0 if family == "GL" else n - 1
-    return r
-
-
 def homogeneous_space_tor(family: str, n: int, r: int | None = None,
                           p: Prime | None = None,
                           degree_bound: int | None = None) -> TorTable:
@@ -265,7 +266,8 @@ def homogeneous_space_tor(family: str, n: int, r: int | None = None,
     bound (default: twice the top generator index)."""
     if p is None:
         raise ValueError("a coefficient prime is required")
-    r = _default_params(family, n, r)
+    if r is None:
+        r = 0 if family == "GL" else n - 1
     indices = GroupModel(family, n).generator_indices()
     if degree_bound is None:
         degree_bound = 2 * max(indices, default=0)

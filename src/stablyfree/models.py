@@ -8,6 +8,7 @@ Odd generator aJ sits in bidegree (2J - 1, J); even cJ in (2J, J).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .algebra import AlgebraPresentation, GeneratorSpec, even_gen, odd_gen
 from .modp import Prime
@@ -57,9 +58,10 @@ class GroupModel:
         if self.family == "SO" and p.value == 2:
             raise TorsionPrimeError("2 is a torsion prime for odd orthogonal groups")
 
+    @lru_cache(maxsize=64)
     def group_algebra(self, p: Prime) -> AlgebraPresentation:
         """Exterior algebra on the odd generators of H*(G), reduced
-        coefficients (odd squares vanish)."""
+        coefficients (odd squares vanish).  Cached per (model, p)."""
         self.check_prime(p)
         return AlgebraPresentation(p, tuple(self.odd_generators()))
 

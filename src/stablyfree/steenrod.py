@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from operator import add
 
-from .algebra import (AlgebraPresentation, Element, Monomial, UNIT_MONOMIAL,
-                      bidegree_of, polynomial_algebra)
+from .algebra import (AlgebraPresentation, Element, Monomial, bidegree_of,
+                      polynomial_algebra)
 from .modp import Prime, binom_mod_p
 from .models import GroupModel
 from .symmetric import reduced_power_on_elementary
@@ -64,60 +65,91 @@ def _parse_chern_index(name: str) -> int:
     return int(name[1:])
 
 
-def _mono_weight(mono: Monomial) -> int:
-    return sum(_parse_chern_index(n) * e for n, e in mono.even)
+# Inside the total-operation engine an even Chern monomial is its exponent
+# tuple, entry k-1 holding the exponent of c_k, with no trailing zeros; a
+# truncated total operation is graded by weight as {weight: {exps: coeff}}.
+Exps = tuple[int, ...]
+Graded = dict[int, dict[Exps, int]]
+
+_CHERN_NAMES: dict[int, str] = {}
 
 
-def _generator_total(p: Prime, j: int, cap: int) -> dict[Monomial, int]:
-    """Truncated total operation on c_j: sum of P^a(c_j) for weights <= cap."""
-    out: dict[Monomial, int] = {}
-    a = 0
-    while j + a * (p.value - 1) <= cap and a <= j:
-        for exps, coeff in reduced_power_on_elementary(p.value, a, j).items():
-            c = coeff % p.value
-            if not c:
+def _exps_of(mono: Monomial) -> tuple[Exps, int]:
+    """Exponent tuple and weight of an even Chern monomial."""
+    indexed = [(_parse_chern_index(name), e) for name, e in mono.even]
+    exps = [0] * max((k for k, _ in indexed), default=0)
+    for k, e in indexed:
+        exps[k - 1] = e
+    return tuple(exps), sum(k * e for k, e in indexed)
+
+
+def _monomial_of(exps: Exps) -> Monomial:
+    names = _CHERN_NAMES
+    even = []
+    for k, e in enumerate(exps, 1):
+        if e:
+            name = names.get(k)
+            if name is None:
+                name = names[k] = f"c{k}"
+            even.append((name, e))
+    return Monomial(tuple(even), ())
+
+
+def _add_exps(a: Exps, b: Exps) -> Exps:
+    if len(a) < len(b):
+        a, b = b, a
+    return tuple(map(add, a, b)) + a[len(b):]
+
+
+def _generator_total(p: int, j: int, cap: int) -> Graded:
+    """Truncated total operation on c_j: P^a(c_j) in weight j + a(p-1) <= cap."""
+    out: Graded = {}
+    for a in range(min(j, (cap - j) // (p - 1)) + 1):
+        bucket = {exps: c % p
+                  for exps, c in reduced_power_on_elementary(p, a, j).items()
+                  if c % p}
+        if bucket:
+            out[j + a * (p - 1)] = bucket
+    return out
+
+
+def _mul_truncated(a: Graded, b: Graded, cap: int, p: int) -> Graded:
+    """Product of graded totals, dropping weights above cap."""
+    out: Graded = {}
+    for w1, terms1 in a.items():
+        for w2, terms2 in b.items():
+            if w1 + w2 > cap:
                 continue
-            even = tuple((f"c{k + 1}", e) for k, e in enumerate(exps) if e)
-            mono = Monomial(even, ())
-            out[mono] = (out.get(mono, 0) + c) % p.value
-        a += 1
-    return {m: c for m, c in out.items() if c}
+            bucket = out.setdefault(w1 + w2, {})
+            for e1, c1 in terms1.items():
+                for e2, c2 in terms2.items():
+                    e = _add_exps(e1, e2)
+                    bucket[e] = bucket.get(e, 0) + c1 * c2
+    reduced: Graded = {}
+    for w, bucket in out.items():
+        bucket = {e: c % p for e, c in bucket.items() if c % p}
+        if bucket:
+            reduced[w] = bucket
+    return reduced
 
 
-def _mul_truncated(a: dict[Monomial, int], b: dict[Monomial, int],
-                   cap: int, p: int) -> dict[Monomial, int]:
-    """Product of even-monomial dicts, dropping weights above cap."""
-    out: dict[Monomial, int] = {}
-    for m1, c1 in a.items():
-        w1 = _mono_weight(m1)
-        for m2, c2 in b.items():
-            if w1 + _mono_weight(m2) > cap:
-                continue
-            merged: dict[str, int] = dict(m1.even)
-            for name, exp in m2.even:
-                merged[name] = merged.get(name, 0) + exp
-            mono = Monomial(tuple(sorted(merged.items(),
-                                         key=lambda t: _parse_chern_index(t[0]))), ())
-            out[mono] = (out.get(mono, 0) + c1 * c2) % p
-    return {m: c for m, c in out.items() if c}
+# cache: (p, exponent tuple) -> (cap computed up to, graded total); a hit
+# may hold weights above the cap asked for, so readers pick their weight
+_TOTAL_CACHE: dict[tuple[int, Exps], tuple[int, Graded]] = {}
 
 
-# cache: (p, monomial) -> (cap computed up to, total-operation term dict)
-_TOTAL_CACHE: dict[tuple[int, Monomial], tuple[int, dict[Monomial, int]]] = {}
-
-
-def _total_power_of_monomial(p: Prime, mono: Monomial, cap: int) -> dict[Monomial, int]:
+def _total_power_of_monomial(p: int, exps: Exps, cap: int) -> Graded:
     """Total operation on an even monomial, truncated at weight cap."""
-    key = (p.value, mono)
+    key = (p, exps)
     cached = _TOTAL_CACHE.get(key)
     if cached is not None and cached[0] >= cap:
-        return {m: c for m, c in cached[1].items() if _mono_weight(m) <= cap}
-    total: dict[Monomial, int] = {UNIT_MONOMIAL: 1}
-    for name, exp in mono.even:
-        j = _parse_chern_index(name)
-        gen_total = _generator_total(p, j, cap)
-        for _ in range(exp):
-            total = _mul_truncated(total, gen_total, cap, p.value)
+        return cached[1]
+    total: Graded = {0: {(): 1}}
+    for j, exp in enumerate(exps, 1):
+        if exp:
+            gen_total = _generator_total(p, j, cap)
+            for _ in range(exp):
+                total = _mul_truncated(total, gen_total, cap, p)
     _TOTAL_CACHE[key] = (cap, total)
     return total
 
@@ -140,25 +172,26 @@ def apply_P_polynomial(i: int, x: Element, p: Prime,
             raise ValueError("element involves odd generators; use the primitive action")
 
     shift = i * (p.value - 1)
-    by_weight: dict[int, dict[Monomial, int]] = {}
+    terms = []
+    max_target = 0
     for mono, coeff in x.terms.items():
-        by_weight.setdefault(_mono_weight(mono), {})[mono] = coeff
-
-    max_target = max((w + shift for w in by_weight), default=0)
-    if roots is not None and by_weight and roots < max_target:
+        exps, w = _exps_of(mono)
+        max_target = max(max_target, w + shift)
+        # instability: P^i vanishes on classes of weight below i
+        if i <= w:
+            terms.append((exps, w + shift, coeff))
+    if roots is not None and x.terms and roots < max_target:
         raise ValueError(f"{roots} roots are too few for faithful rewriting; "
                          f"need at least {max_target}")
 
-    ambient = polynomial_algebra(p, max(max_target, 1))
-    result: dict[Monomial, int] = {}
-    for w, terms in by_weight.items():
-        target = w + shift
-        for mono, coeff in terms.items():
-            total = _total_power_of_monomial(p, mono, target)
-            for m, c in total.items():
-                if _mono_weight(m) == target:
-                    result[m] = (result.get(m, 0) + coeff * c) % p.value
-    return ambient.from_terms(result)
+    pv = p.value
+    result: dict[Exps, int] = {}
+    for exps, target, coeff in terms:
+        total = _total_power_of_monomial(pv, exps, target)
+        for e, c in total.get(target, {}).items():
+            result[e] = (result.get(e, 0) + coeff * c) % pv
+    ambient = polynomial_algebra(p, max([t for _, t, _ in terms] + [1]))
+    return ambient.from_terms({_monomial_of(e): c for e, c in result.items()})
 
 
 def decomposable_quotient(x: Element) -> Element:

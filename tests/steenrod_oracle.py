@@ -1,77 +1,50 @@
 """Independent brute-force reduced power operations, used as an oracle.
 
-Works with explicit root variables throughout: expands Chern classes into
-full exponent-vector polynomials, substitutes t -> t + t^p literally, and
-rewrites back into Chern classes by solving a linear system against the
-expansions of all candidate monomials.  No code shared with the package.
+Works with explicit root variables throughout: a Chern monomial is the
+product of elementary symmetric polynomials in n roots, the operation
+substitutes t -> t + t^p into every root literally, and the image is
+rewritten back into Chern classes by solving a linear system against the
+root expansions of all candidate monomials.  No code shared with the
+package.
+
+Every polynomial here is symmetric, so it is determined by its
+coefficients on partition-shaped (weakly decreasing) exponent vectors,
+and only those rows enter the linear system.  A coefficient is read off
+by counting, over the literal expansion, the ways each factor e_j picks
+j distinct roots (and, after substitution, t or t^p for each) so that
+the exponents add up to the row; the count only depends on the multiset
+of exponents still to be made up, which keeps weight-12 targets in 12
+roots cheap.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-
-RootPoly = dict[tuple[int, ...], int]  # exponent vector over n roots -> coeff
-
-
-def elementary_root_poly(j: int, n: int) -> RootPoly:
-    out: RootPoly = {}
-    for subset in combinations(range(n), j):
-        vec = [0] * n
-        for i in subset:
-            vec[i] = 1
-        out[tuple(vec)] = 1
-    return out
+from functools import lru_cache
+from itertools import combinations, product
 
 
-def root_mul(a: RootPoly, b: RootPoly, p: int) -> RootPoly:
-    out: RootPoly = {}
-    for va, ca in a.items():
-        for vb, cb in b.items():
-            v = tuple(x + y for x, y in zip(va, vb))
-            out[v] = (out.get(v, 0) + ca * cb) % p
-    return {v: c for v, c in out.items() if c}
-
-
-def root_add(a: RootPoly, b: RootPoly, p: int) -> RootPoly:
-    out = dict(a)
-    for v, c in b.items():
-        out[v] = (out.get(v, 0) + c) % p
-    return {v: c for v, c in out.items() if c}
-
-
-def expand_chern_monomial(exps: dict[int, int], n: int, p: int) -> RootPoly:
-    """prod_j e_j^{exps[j]} as a root polynomial."""
-    out: RootPoly = {(0,) * n: 1}
-    for j, e in sorted(exps.items()):
-        ej = elementary_root_poly(j, n)
-        for _ in range(e):
-            out = root_mul(out, ej, p)
-    return out
-
-
-def substitute_total(poly: RootPoly, n: int, p: int) -> RootPoly:
-    """Apply t_i -> t_i + t_i^p to every variable, fully expanded."""
-    out: RootPoly = {}
-    for vec, coeff in poly.items():
-        terms: RootPoly = {(0,) * n: coeff}
-        for i, e in enumerate(vec):
-            var_image: RootPoly = {}
-            base = [0] * n
-            base[i] = 1
-            single: RootPoly = {tuple(base): 1}
-            basep = [0] * n
-            basep[i] = p
-            singlep: RootPoly = {tuple(basep): 1}
-            powed: RootPoly = {(0,) * n: 1}
-            for _ in range(e):
-                powed = root_mul(powed, root_add(single, singlep, p), p)
-            terms = root_mul(terms, powed, p)
-        out = root_add(out, terms, p)
-    return out
-
-
-def weight_part(poly: RootPoly, w: int) -> RootPoly:
-    return {v: c for v, c in poly.items() if sum(v) == w}
+@lru_cache(maxsize=None)
+def expansion_coefficient(factors: tuple[int, ...], row: tuple[int, ...],
+                          steps: tuple[int, ...], p: int) -> int:
+    """Coefficient mod p of the root monomial with exponents `row` in
+    prod_i e_{factors[i]}, where each root t that a factor picks
+    contributes t^s for one s in `steps`: (1,) for the plain expansion,
+    (1, p) after t -> t + t^p.  `row` lists the nonzero exponents,
+    descending."""
+    if not factors:
+        return 0 if row else 1
+    j, rest = factors[0], factors[1:]
+    total = 0
+    for roots in combinations(range(len(row)), j):
+        for powers in product(steps, repeat=j):
+            left = list(row)
+            for k, s in zip(roots, powers):
+                left[k] -= s
+            if min(left, default=0) < 0:
+                continue
+            remaining = tuple(sorted((e for e in left if e), reverse=True))
+            total += expansion_coefficient(rest, remaining, steps, p)
+    return total % p
 
 
 def chern_monomials_of_weight(w: int, max_index: int) -> list[dict[int, int]]:
@@ -94,6 +67,27 @@ def chern_monomials_of_weight(w: int, max_index: int) -> list[dict[int, int]]:
     rec(1, w, {})
     out.sort(key=lambda d: sorted(d.items()))
     return out
+
+
+def partitions(w: int, max_parts: int) -> list[tuple[int, ...]]:
+    """Partitions of w with at most max_parts parts, descending tuples."""
+    out: list[tuple[int, ...]] = []
+
+    def rec(left: int, largest: int, acc: tuple[int, ...]):
+        if left == 0:
+            out.append(acc)
+            return
+        if len(acc) == max_parts:
+            return
+        for part in range(min(left, largest), 0, -1):
+            rec(left - part, part, acc + (part,))
+
+    rec(w, w, ())
+    return out
+
+
+def _factors(exps: dict[int, int]) -> tuple[int, ...]:
+    return tuple(j for j, d in sorted(exps.items()) for _ in range(d))
 
 
 def solve_mod_p(matrix: list[list[int]], rhs: list[int], p: int) -> list[int]:
@@ -129,6 +123,17 @@ def solve_mod_p(matrix: list[list[int]], rhs: list[int], p: int) -> list[int]:
     return x
 
 
+@lru_cache(maxsize=None)
+def candidate_system(w: int, n: int, p: int):
+    """Partition rows, candidate Chern monomials of weight w, and the
+    matrix of the candidates' root expansions read on those rows."""
+    rows = partitions(w, n)
+    candidates = chern_monomials_of_weight(w, n)
+    matrix = [[expansion_coefficient(_factors(cand), row, (1,), p)
+               for cand in candidates] for row in rows]
+    return rows, candidates, matrix
+
+
 def brute_force_reduced_power(i: int, exps: dict[int, int], p: int,
                               n: int | None = None) -> dict[tuple[tuple[int, int], ...], int]:
     """P^i of the Chern monomial prod e_j^{exps[j]}, rewritten in Chern
@@ -141,21 +146,9 @@ def brute_force_reduced_power(i: int, exps: dict[int, int], p: int,
     target = w + i * (p - 1)
     if n is None:
         n = target
-    expanded = expand_chern_monomial(exps, n, p)
-    image = weight_part(substitute_total(expanded, n, p), target)
-
-    candidates = chern_monomials_of_weight(target, n)
-    all_vectors = sorted(set().union(
-        *[expand_chern_monomial(c, n, p).keys() for c in candidates],
-        image.keys()))
-    vec_index = {v: k for k, v in enumerate(all_vectors)}
-    matrix = [[0] * len(candidates) for _ in all_vectors]
-    for col, cand in enumerate(candidates):
-        for v, coeff in expand_chern_monomial(cand, n, p).items():
-            matrix[vec_index[v]][col] = coeff
-    rhs = [0] * len(all_vectors)
-    for v, coeff in image.items():
-        rhs[vec_index[v]] = coeff
+    rows, candidates, matrix = candidate_system(target, n, p)
+    # the weight-target part of the substituted expansion, on each row
+    rhs = [expansion_coefficient(_factors(exps), row, (1, p), p) for row in rows]
     solution = solve_mod_p(matrix, rhs, p)
     out = {}
     for cand, coeff in zip(candidates, solution):

@@ -5,7 +5,7 @@ import pytest
 from stablyfree.algebra import (AlgebraPresentation, Bidegree, GeneratorSpec,
                                 INHOMOGENEOUS, bidegree_of, even_gen,
                                 iter_monomials, multiply, odd_gen,
-                                validate_realizability)
+                                polynomial_algebra, validate_realizability)
 from stablyfree.modp import Prime
 from stablyfree.models import GroupModel, TorsionPrimeError, model_from_matrix_size
 
@@ -190,6 +190,11 @@ def test_group_model_tables():
     with pytest.raises(TorsionPrimeError):
         so.group_algebra(P2)
     so.group_algebra(P3)  # fine away from the torsion prime
+
+
+def test_polynomial_algebra_is_shared():
+    assert polynomial_algebra(P3, 4) is polynomial_algebra(P3, 4)
+    assert polynomial_algebra(P3, 4) is not polynomial_algebra(P5, 4)
 
 
 def test_model_from_matrix_size():

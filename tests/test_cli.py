@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from stablyfree.cli import main, parse_polynomial
+from stablyfree import cli
+from stablyfree.cli import build_parser, main, parse_polynomial
 from stablyfree.algebra import polynomial_algebra
 from stablyfree.modp import Prime
 
@@ -221,3 +222,16 @@ def test_subprocess_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "a4\n"
+
+
+def test_main_reuses_one_parser(monkeypatch):
+    def no_rebuild():
+        raise AssertionError("main rebuilt its parser")
+
+    run_cli("steenrod", "-p", "3", "--poly", "c1", "--op", "0")
+    monkeypatch.setattr(cli, "build_parser", no_rebuild)
+    for _ in range(2):
+        assert run_cli("steenrod", "-p", "2", "--poly", "c2", "--op", "1") == \
+            (0, "c1*c2 + c3\n", "")
+    monkeypatch.undo()
+    assert build_parser() is not build_parser()  # still public, still fresh

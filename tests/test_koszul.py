@@ -140,3 +140,20 @@ def test_degree_bound_controls_table_size():
     small = homogeneous_space_tor("GL", 5, 2, P3, degree_bound=6)
     assert all(q <= 6 for (_, q, _) in small.entries)
     assert small.dimension(1, 6, 3) == 1
+
+
+def test_cached_tables_are_read_only():
+    table = homogeneous_space_tor("GL", 4, 1, P3)
+    before = dict(table.entries)
+    with pytest.raises(AttributeError):
+        table.entries.clear()
+    with pytest.raises(TypeError):
+        table.entries[(9, 18, 9)] = None
+    with pytest.raises(TypeError):
+        del table.chain_dims[next(iter(table.chain_dims))]
+    with pytest.raises(AttributeError):
+        table.entries = {}
+    again = homogeneous_space_tor("GL", 4, 1, P3)
+    assert again is table and dict(again.entries) == before
+    assert [g.name for g in homogeneous_space_odd_basis("GL", 4, 1, P3)] == \
+        ["a2", "a3", "a4"]

@@ -5,10 +5,11 @@ import pytest
 from stablyfree.algebra import Bidegree, bidegree_of, polynomial_algebra
 from stablyfree.modp import Prime, binom_mod_p
 from stablyfree.models import GroupModel, TorsionPrimeError
+from stablyfree import steenrod
 from stablyfree.steenrod import (SteenrodContext, apply_P_polynomial,
                                  apply_P_primitive, decomposable_quotient,
                                  verify_axiom)
-from steenrod_oracle import brute_force_reduced_power
+from steenrod_oracle import brute_force_reduced_power, chern_monomials_of_weight
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
 
@@ -166,6 +167,43 @@ def test_oracle_agreement_on_products(p):
             assert mine == oracle, (p, i, exps)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_oracle_agreement_through_target_weight_12(p):
+    # every monomial of weight <= 6 in c1..c6, every P^i landing in weight
+    # <= 12; i runs down first (cached totals reused at a smaller cap),
+    # then up from an empty cache (the cap grows call by call)
+    prime = Prime(p)
+    A = polynomial_algebra(prime, 6)
+    cases = []
+    for w in range(7):
+        for exps in chern_monomials_of_weight(w, 6):
+            ops = list(range((12 - w) // (p - 1) + 1))
+            wanted = {i: brute_force_reduced_power(i, exps, p) for i in ops}
+            x = A.monomial_element({f"c{j}": d for j, d in exps.items()})
+            cases.append((exps, x, ops, wanted))
+    for descending in (True, False):
+        steenrod._TOTAL_CACHE.clear()
+        for exps, x, ops, wanted in cases:
+            for i in (reversed(ops) if descending else ops):
+                mine = _as_exponent_map(apply_P_polynomial(i, x, prime))
+                assert mine == wanted[i], (p, i, exps, descending)
+
+
+def test_unstable_operation_is_zero_in_a_small_ambient():
+    # P^i(x) = 0 for i above the weight of x: no ambient is sized for the
+    # (never computed) target weight
+    for p in (P2, P5):
+        x = polynomial_algebra(p, 1).gen("c1")
+        y = apply_P_polynomial(20000, x, p)
+        assert y.is_zero()
+        assert len(y.algebra.generators) <= 1
+    A = polynomial_algebra(P3, 3)
+    mixed = A.gen("c1") + A.gen("c3")
+    y = apply_P_polynomial(3, mixed, P3)
+    assert y == apply_P_polynomial(3, A.gen("c3"), P3)
+    assert len(y.algebra.generators) == 3 + 3 * 2
+
+
 def test_oracle_stability_in_root_count():
     # the oracle recomputes from scratch per n; the answers must agree
     for n in (4, 5, 7):
@@ -214,6 +252,19 @@ def test_adem_p2_includes_p1p1_vanishing():
     assert p1p1, "P^1 P^1 instances must be covered"
     for c in p1p1:
         assert c.rhs == "0"
+
+
+def test_adem_p3_bound_20():
+    report = verify_axiom("adem", P3, 20)
+    assert len(report.checks) == 701
+    assert report.passed, report.failures()[:3]
+
+
+def test_context_algebra_is_cached():
+    ctx = SteenrodContext(P3, GroupModel("GL", 6))
+    assert ctx.algebra() is ctx.algebra()
+    assert ctx.algebra() is SteenrodContext(P3, GroupModel("GL", 6)).algebra()
+    assert ctx.algebra() is not SteenrodContext(P5, GroupModel("GL", 6)).algebra()
 
 
 def test_verify_axiom_rejects_unknown():
