@@ -3,8 +3,8 @@ classes, Koszul-homology Tor tables, and section obstructions for
 quotient maps of the classical split groups."""
 
 from .algebra import (AlgebraPresentation, Bidegree, Element, GeneratorSpec,
-                      INHOMOGENEOUS, Monomial, bidegree_of, multiply,
-                      polynomial_algebra, validate_realizability)
+                      INHOMOGENEOUS, Monomial, bidegree_of, polynomial_algebra,
+                      validate_realizability)
 from .koszul import (KoszulComplex, TorTable, build_koszul,
                      homogeneous_space_odd_basis, homogeneous_space_tor,
                      koszul_homology)
@@ -12,8 +12,7 @@ from .modp import Fp, Prime, binom_mod_p, exponent_n, raynaud_number
 from .models import GroupModel, TorsionPrimeError
 from .obstruction import (DivisibilityScan, ObstructionReport, SectionQuery,
                           Witness, check_cohomological, check_gl_quotient,
-                          check_orthogonal, check_symplectic, combined_modulus,
-                          divisibility_scan)
+                          check_orthogonal, check_symplectic, divisibility_scan)
 from .steenrod import (SteenrodContext, apply_P_polynomial, apply_P_primitive,
                        decomposable_quotient, verify_axiom)
 
@@ -24,9 +23,8 @@ __all__ = [
     "SteenrodContext", "TorTable", "TorsionPrimeError", "Witness",
     "apply_P_polynomial", "apply_P_primitive", "bidegree_of", "binom_mod_p",
     "build_koszul", "check_cohomological", "check_gl_quotient",
-    "check_orthogonal", "check_symplectic", "combined_modulus",
-    "decomposable_quotient", "divisibility_scan", "exponent_n",
-    "homogeneous_space_odd_basis", "homogeneous_space_tor", "koszul_homology",
-    "multiply", "polynomial_algebra", "raynaud_number",
-    "validate_realizability", "verify_axiom",
+    "check_orthogonal", "check_symplectic", "decomposable_quotient",
+    "divisibility_scan", "exponent_n", "homogeneous_space_odd_basis",
+    "homogeneous_space_tor", "koszul_homology", "polynomial_algebra",
+    "raynaud_number", "validate_realizability", "verify_axiom",
 ]

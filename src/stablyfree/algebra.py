@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import add
 from typing import Iterable, Iterator
 
 from .modp import Prime
@@ -73,23 +74,27 @@ def odd_gen(name: str, weight: int) -> GeneratorSpec:
 
 @dataclass(frozen=True, slots=True)
 class Monomial:
-    """A canonical monomial: even exponents plus an ordered odd support.
+    """A canonical monomial over the generators of one presentation.
 
-    `even` holds (name, exponent) pairs in generator order with exponents
-    >= 1; `odd` holds odd generator names in ascending generator order.
-    Instances are only built through an AlgebraPresentation, which owns the
-    ordering and the sign bookkeeping.
+    `even` holds the exponent of the generator at each position, with no
+    trailing zeros (odd positions hold 0); `odd` holds the positions of the
+    odd factors in ascending order.  Positions only mean something relative
+    to a presentation, which owns the names, the ordering and the sign
+    bookkeeping; for `polynomial_algebra`, position k - 1 is c_k.
     """
 
-    even: tuple[tuple[str, int], ...]
-    odd: tuple[str, ...]
-
-    @property
-    def is_unit(self) -> bool:
-        return not self.even and not self.odd
+    even: tuple[int, ...]
+    odd: tuple[int, ...]
 
 
 UNIT_MONOMIAL = Monomial((), ())
+
+
+def add_exps(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Entrywise sum of two exponent tuples of any lengths."""
+    if len(a) < len(b):
+        a, b = b, a
+    return tuple(map(add, a, b)) + a[len(b):]
 
 
 def _merge_count_inversions(left: tuple[int, ...], right: tuple[int, ...]) -> int:
@@ -140,25 +145,25 @@ class AlgebraPresentation:
     def spec(self, name: str) -> GeneratorSpec:
         return self.generators[self.position(name)]
 
-    def even_names(self) -> list[str]:
-        return [g.name for g in self.generators if g.parity == "even"]
-
-    def odd_names(self) -> list[str]:
-        return [g.name for g in self.generators if g.parity == "odd"]
+    def named_factors(self, m: Monomial) -> tuple[list[tuple[str, int]], list[str]]:
+        """The names behind a positional monomial: (name, exponent) pairs of
+        the even part and the names of the odd part, in generator order."""
+        gens = self.generators
+        return ([(gens[k].name, e) for k, e in enumerate(m.even) if e],
+                [gens[k].name for k in m.odd])
 
     # -- monomial construction and arithmetic ------------------------------
 
     def make_monomial(self, even: dict[str, int] | None = None,
                       odd: Iterable[str] = ()) -> tuple[int, Monomial | None]:
-        """Canonicalize generator data into (sign, monomial).
+        """Canonicalize generator data, given by name, into (sign, monomial).
 
         Returns (1, None) when the monomial dies: a killed generator
         appears, or an odd generator repeats (odd squares vanish).  The
         sign records the parity of the permutation sorting the odd part.
         """
-        even = even or {}
-        even_part = []
-        for name, exp in even.items():
+        exps: dict[int, int] = {}
+        for name, exp in (even or {}).items():
             if exp < 0:
                 raise ValueError(f"negative exponent for {name}")
             if exp == 0:
@@ -167,83 +172,61 @@ class AlgebraPresentation:
                 raise ValueError(f"{name} is not an even generator")
             if name in self.killed_generators:
                 return 1, None
-            even_part.append((self.position(name), name, exp))
-        even_part.sort()
+            exps[self.position(name)] = exp
+        even_part = [0] * (max(exps) + 1 if exps else 0)
+        for k, exp in exps.items():
+            even_part[k] = exp
 
-        odd_list = list(odd)
-        for name in odd_list:
+        positions = []
+        for name in odd:
             if self.spec(name).parity != "odd":
                 raise ValueError(f"{name} is not an odd generator")
             if name in self.killed_generators:
                 return 1, None
-        positions = [self.position(name) for name in odd_list]
+            positions.append(self.position(name))
         if len(set(positions)) != len(positions):
             return 1, None
-        # insertion sort, counting transpositions for the Koszul sign
-        sign = 1
-        order = list(range(len(positions)))
-        for i in range(1, len(order)):
-            j = i
-            while j > 0 and positions[order[j - 1]] > positions[order[j]]:
-                order[j - 1], order[j] = order[j], order[j - 1]
-                sign = -sign
-                j -= 1
-        odd_sorted = tuple(odd_list[k] for k in order)
-        return sign, Monomial(tuple((n, e) for _, n, e in even_part), odd_sorted)
+        inversions = sum(a > b for i, a in enumerate(positions)
+                         for b in positions[i + 1:])
+        return (-1 if inversions % 2 else 1,
+                Monomial(tuple(even_part), tuple(sorted(positions))))
 
     def mul_monomials(self, a: Monomial, b: Monomial) -> tuple[int, Monomial | None]:
         """Product of two canonical monomials: (Koszul sign, monomial or None)."""
-        merged: dict[str, int] = dict(a.even)
-        for name, exp in b.even:
-            merged[name] = merged.get(name, 0) + exp
-        left = tuple(self.position(n) for n in a.odd)
-        right = tuple(self.position(n) for n in b.odd)
-        if set(left) & set(right):
+        if not set(a.odd).isdisjoint(b.odd):
             return 1, None
-        inversions = _merge_count_inversions(left, right)
-        sign = -1 if inversions % 2 else 1
-        even_part = tuple(sorted(((n, e) for n, e in merged.items()),
-                                 key=lambda t: self.position(t[0])))
-        odd_part = tuple(sorted(a.odd + b.odd, key=self.position))
-        return sign, Monomial(even_part, odd_part)
+        sign = -1 if _merge_count_inversions(a.odd, b.odd) % 2 else 1
+        return sign, Monomial(add_exps(a.even, b.even), tuple(sorted(a.odd + b.odd)))
 
     def mono_bidegree(self, m: Monomial) -> Bidegree:
         deg = wt = 0
-        for name, exp in m.even:
-            b = self.spec(name).bidegree
-            deg += exp * b.degree
-            wt += exp * b.weight
-        for name in m.odd:
-            b = self.spec(name).bidegree
+        gens = self.generators
+        for k, exp in enumerate(m.even):
+            if exp:
+                b = gens[k].bidegree
+                deg += exp * b.degree
+                wt += exp * b.weight
+        for k in m.odd:
+            b = gens[k].bidegree
             deg += b.degree
             wt += b.weight
         return Bidegree(deg, wt)
 
-    def sort_key(self, m: Monomial):
-        return (tuple((self.position(n), e) for n, e in m.even),
-                tuple(self.position(n) for n in m.odd))
+    @staticmethod
+    def sort_key(m: Monomial):
+        return tuple((k, e) for k, e in enumerate(m.even) if e), m.odd
 
     # -- element construction ----------------------------------------------
 
     def extends(self, other: "AlgebraPresentation") -> bool:
-        """Whether `other` is a sub-presentation: same modulus, its
-        generators appearing here identically and in the same relative
-        order, with matching killed status.  Elements of a sub-presentation
-        embed canonically, so arithmetic may mix the two."""
-        if self is other or self == other:
+        """Whether `other` is a prefix of this presentation: same modulus and
+        killed set, and its generators are the leading ones here.  Positions
+        then mean the same in both, so arithmetic may mix the two."""
+        if self is other:
             return True
-        if self.modulus != other.modulus:
-            return False
-        mine = {g.name: g for g in self.generators}
-        for g in other.generators:
-            if mine.get(g.name) != g:
-                return False
-        common = tuple(g for g in self.generators if g.name in other._pos)
-        if common != other.generators:
-            return False
-        return all((g.name in self.killed_generators)
-                   == (g.name in other.killed_generators)
-                   for g in other.generators)
+        return (self.modulus == other.modulus
+                and self.killed_generators == other.killed_generators
+                and self.generators[:len(other.generators)] == other.generators)
 
     def from_terms(self, terms: dict[Monomial, int]) -> "Element":
         p = self.modulus.value
@@ -351,11 +334,14 @@ class Element:
 
     def __eq__(self, other) -> bool:
         # structural equality of canonical forms: the ambient presentation
-        # may differ (e.g. a larger polynomial algebra), the terms may not
+        # may differ (e.g. a larger polynomial algebra), but positions must
+        # name the same generators, so nonzero terms need one to extend the other
         if not isinstance(other, Element):
             return NotImplemented
-        return (self.algebra.modulus == other.algebra.modulus
-                and self.terms == other.terms)
+        if self.algebra.modulus != other.algebra.modulus or self.terms != other.terms:
+            return False
+        return (not self.terms or self.algebra.extends(other.algebra)
+                or other.algebra.extends(self.algebra))
 
     def __hash__(self):
         return hash((self.algebra.modulus, frozenset(self.terms.items())))
@@ -374,9 +360,10 @@ class Element:
             return "0"
         parts = []
         for mono, coeff in self.sorted_terms():
-            factors = [f"{n}^{e}" if e > 1 else n for n, e in mono.even]
-            if mono.odd:
-                factors.append("^".join(mono.odd))
+            even, odd = self.algebra.named_factors(mono)
+            factors = [f"{n}^{e}" if e > 1 else n for n, e in even]
+            if odd:
+                factors.append("^".join(odd))
             if not factors:
                 parts.append(str(coeff))
             elif coeff == 1:
@@ -391,24 +378,12 @@ class Element:
         return f"<Element {self.render()} mod {self.algebra.modulus}>"
 
     def to_json(self) -> dict:
-        return {
-            "modulus": self.algebra.modulus.value,
-            "terms": [
-                {"coefficient": c,
-                 "even": [[n, e] for n, e in m.even],
-                 "odd": list(m.odd)}
-                for m, c in self.sorted_terms()
-            ],
-        }
-
-
-def multiply(x: Element, y: Element, presentation: AlgebraPresentation) -> Element:
-    """Graded-commutative product of x and y inside the given presentation."""
-    if not (presentation.extends(x.algebra) and presentation.extends(y.algebra)):
-        if x.algebra.modulus != presentation.modulus or y.algebra.modulus != presentation.modulus:
-            raise ValueError("modulus mismatch")
-        raise ValueError("elements do not belong to this presentation")
-    return presentation.from_terms(dict(x.terms)) * presentation.from_terms(dict(y.terms))
+        terms = []
+        for m, c in self.sorted_terms():
+            even, odd = self.algebra.named_factors(m)
+            terms.append({"coefficient": c, "even": [[n, e] for n, e in even],
+                          "odd": odd})
+        return {"modulus": self.algebra.modulus.value, "terms": terms}
 
 
 def bidegree_of(x: Element):
@@ -433,37 +408,40 @@ def validate_realizability(x: Element) -> bool:
 
 
 @lru_cache(maxsize=64)
-def polynomial_algebra(p: Prime, n: int, prefix: str = "c") -> AlgebraPresentation:
-    """F_p[c_1, ..., c_n] with c_i of bidegree (2i, i)."""
-    gens = tuple(even_gen(f"{prefix}{i}", i) for i in range(1, n + 1))
+def polynomial_algebra(p: Prime, n: int) -> AlgebraPresentation:
+    """F_p[c_1, ..., c_n] with c_i of bidegree (2i, i), at position i - 1."""
+    gens = tuple(even_gen(f"c{i}", i) for i in range(1, n + 1))
     return AlgebraPresentation(p, gens)
 
 
 def iter_monomials(alg: AlgebraPresentation, weight: int) -> Iterator[Monomial]:
     """All canonical monomials of the given weight, in a deterministic
     order.  Killed generators are skipped."""
-    gens = [g for g in alg.generators if g.name not in alg.killed_generators]
+    gens = [(k, g) for k, g in enumerate(alg.generators)
+            if g.name not in alg.killed_generators]
+    exps = [0] * len(alg.generators)
 
-    def rec(i: int, remaining: int, even: list, odd: list):
+    def rec(i: int, remaining: int, top: int, odd: list):
+        # top: length of the even exponent prefix set so far
         if remaining == 0:
-            yield Monomial(tuple(even), tuple(odd))
+            yield Monomial(tuple(exps[:top]), tuple(odd))
             return
         if i == len(gens):
             return
-        g = gens[i]
+        k, g = gens[i]
         w = g.bidegree.weight
-        yield from rec(i + 1, remaining, even, odd)
+        yield from rec(i + 1, remaining, top, odd)
         if g.parity == "even":
             e = 1
             while e * w <= remaining:
-                even.append((g.name, e))
-                yield from rec(i + 1, remaining - e * w, even, odd)
-                even.pop()
+                exps[k] = e
+                yield from rec(i + 1, remaining - e * w, k + 1, odd)
                 e += 1
+            exps[k] = 0
         else:
             if w <= remaining:
-                odd.append(g.name)
-                yield from rec(i + 1, remaining - w, even, odd)
+                odd.append(k)
+                yield from rec(i + 1, remaining - w, top, odd)
                 odd.pop()
 
-    yield from rec(0, weight, [], [])
+    yield from rec(0, weight, 0, [])

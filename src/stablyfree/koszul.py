@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from types import MappingProxyType
 
-from .algebra import (AlgebraPresentation, GeneratorSpec, Monomial,
+from .algebra import (AlgebraPresentation, GeneratorSpec, Monomial, add_exps,
                       even_gen, iter_monomials, odd_gen)
 from .linalg import Vector, quotient_basis, rank_and_kernel
 from .modp import Prime
@@ -37,22 +37,38 @@ class KoszulComplex:
     modulus: Prime
     base: tuple[GeneratorSpec, ...]
     module: AlgebraPresentation
+    # sorted module monomials by weight, built once per complex
+    _monomials: dict = field(init=False, repr=False, compare=False,
+                             default_factory=dict)
 
     @property
     def base_indices(self) -> tuple[int, ...]:
         return tuple(g.bidegree.weight for g in self.base)
 
+    @cached_property
+    def _units(self) -> dict[int, tuple[int, ...]]:
+        """Exponent tuple of each surviving base generator, by weight."""
+        killed = self.module.killed_generators
+        return {g.bidegree.weight: (0,) * k + (1,)
+                for k, g in enumerate(self.base) if g.name not in killed}
+
+    def module_monomials(self, weight: int) -> list[Monomial]:
+        """Module monomials of the given weight, in the module's sort order."""
+        monos = self._monomials.get(weight)
+        if monos is None:
+            monos = self._monomials[weight] = sorted(
+                iter_monomials(self.module, weight), key=self.module.sort_key)
+        return monos
+
     def chain_basis(self, m: int, weight: int) -> list[ChainBasisElement]:
         """Basis of the homological-index-m chains of the given weight:
-        module monomials tensor m-fold wedges of dc symbols."""
+        module monomials tensor m-fold wedges of dc symbols, ordered by
+        wedge and then by module monomial."""
         out: list[ChainBasisElement] = []
-        for subset in combinations(self.base_indices, m):
+        for subset in sorted(combinations(self.base_indices, m)):
             rest = weight - sum(subset)
-            if rest < 0:
-                continue
-            for mono in iter_monomials(self.module, rest):
-                out.append((mono, subset))
-        out.sort(key=lambda b: (b[1], self.module.sort_key(b[0])))
+            if rest >= 0:
+                out.extend((mono, subset) for mono in self.module_monomials(rest))
         return out
 
     def differential_columns(self, m: int, weight: int,
@@ -60,19 +76,16 @@ class KoszulComplex:
                              domain: list[ChainBasisElement]) -> list[Vector]:
         """Columns of d: C_m -> C_{m-1} in the given weight."""
         p = self.modulus.value
-        killed = self.module.killed_generators
+        units = self._units
         cols: list[Vector] = []
         for mono, subset in domain:
             col: Vector = {}
             for s, idx in enumerate(subset):
-                name = f"c{idx}"
-                if name in killed:
+                unit = units.get(idx)
+                if unit is None:  # killed: the module term vanishes
                     continue
-                merged = dict(mono.even)
-                merged[name] = merged.get(name, 0) + 1
-                new_mono = Monomial(tuple(sorted(
-                    merged.items(), key=lambda t: self.module.position(t[0]))), ())
-                target = (new_mono, subset[:s] + subset[s + 1:])
+                target = (Monomial(add_exps(mono.even, unit), ()),
+                          subset[:s] + subset[s + 1:])
                 sign = 1 if s % 2 == 0 else -1
                 row = codomain_index[target]
                 col[row] = (col.get(row, 0) + sign) % p
@@ -172,12 +185,14 @@ class TorTable:
         }
 
 
-def _render_chain_vector(vec: Vector, basis: list[ChainBasisElement]) -> str:
+def _render_chain_vector(vec: Vector, basis: list[ChainBasisElement],
+                         module: AlgebraPresentation) -> str:
     parts = []
     for row in sorted(vec):
         coeff = vec[row]
         mono, subset = basis[row]
-        factors = [f"{n}^{e}" if e > 1 else n for n, e in mono.even]
+        even, _ = module.named_factors(mono)
+        factors = [f"{n}^{e}" if e > 1 else n for n, e in even]
         if subset:
             factors.append("^".join(f"dc{i}" for i in subset))
         body = "*".join(factors) if factors else "1"
@@ -228,7 +243,7 @@ def koszul_homology(cx: KoszulComplex, degree_bound: int) -> TorTable:
             reps = quotient_basis(kernel, image_vectors, p)
             if not reps:
                 continue
-            names = tuple(_render_chain_vector(v, bases[m]) for v in reps)
+            names = tuple(_render_chain_vector(v, bases[m], cx.module) for v in reps)
             entries[(m, 2 * weight, weight)] = TorEntry(len(reps), names)
     return TorTable(p, degree_bound, MappingProxyType(entries),
                     MappingProxyType(chain_dims))

@@ -20,10 +20,6 @@ def vec_sub_scaled(target: Vector, source: Vector, factor: int, p: int):
             target.pop(idx, None)
 
 
-def vec_scale(v: Vector, factor: int, p: int) -> Vector:
-    return {i: (c * factor) % p for i, c in v.items()}
-
-
 class Eliminator:
     """Incremental echelonization of column vectors over F_p."""
 
@@ -42,15 +38,20 @@ class Eliminator:
             vec_sub_scaled(v, pivot, v[r], self.p)
         return v
 
-    def insert(self, v: Vector) -> bool:
-        """Reduce and, if nonzero, add as a new pivot.  True if rank grew."""
-        res = self.reduce(v)
-        if not res:
-            return False
-        r = min(res)
-        inv = pow(res[r], self.p - 2, self.p)
-        self.pivots[r] = vec_scale(res, inv, self.p)
-        return True
+    def add_pivot(self, residual: Vector) -> Vector | None:
+        """Normalize an already reduced residual and store it as the pivot
+        of its smallest row; returns the pivot, or None for zero."""
+        if not residual:
+            return None
+        r = min(residual)
+        inv = pow(residual[r], self.p - 2, self.p)
+        pivot = self.pivots[r] = {i: c * inv % self.p for i, c in residual.items()}
+        return pivot
+
+    def insert(self, v: Vector) -> Vector | None:
+        """Reduce v and add the residual as a pivot; returns the new pivot,
+        or None if v was already in the span."""
+        return self.add_pivot(self.reduce(v))
 
     @property
     def rank(self) -> int:
@@ -61,28 +62,20 @@ def rank_and_kernel(columns: list[Vector], p: int) -> tuple[int, list[Vector]]:
     """Rank of the matrix with the given columns, and a kernel basis.
 
     Kernel vectors are dicts over column indices, echelon-shaped with
-    respect to the insertion order of the columns.
+    respect to the insertion order of the columns.  Each column carries
+    its own combination under the keys offset + idx past the last row, so
+    pivots never land there and a residual living only there is a kernel
+    vector.
     """
+    offset = max((r for col in columns for r in col), default=-1) + 1
     elim = Eliminator(p)
-    # track the combination of original columns realizing each residual
-    combos: dict[int, Vector] = {}  # pivot row -> combination
     kernel: list[Vector] = []
     for idx, col in enumerate(columns):
-        v = dict(col)
-        combo: Vector = {idx: 1}
-        while v:
-            r = min(v)
-            pivot = elim.pivots.get(r)
-            if pivot is None:
-                inv = pow(v[r], p - 2, p)
-                elim.pivots[r] = vec_scale(v, inv, p)
-                combos[r] = vec_scale(combo, inv, p)
-                break
-            factor = v[r]
-            vec_sub_scaled(v, pivot, factor, p)
-            vec_sub_scaled(combo, combos[r], factor, p)
+        residual = elim.reduce({**col, offset + idx: 1})
+        if min(residual) >= offset:
+            kernel.append({k - offset: c for k, c in residual.items()})
         else:
-            kernel.append(combo)
+            elim.add_pivot(residual)
     return elim.rank, kernel
 
 
@@ -97,14 +90,5 @@ def quotient_basis(kernel: list[Vector], image: list[Vector], p: int) -> list[Ve
     for v in image:
         image_elim.insert(v)
     chosen = Eliminator(p)
-    reps: list[Vector] = []
-    for v in kernel:
-        reduced = image_elim.reduce(v)
-        residual = chosen.reduce(reduced)
-        if residual:
-            r = min(residual)
-            inv = pow(residual[r], p - 2, p)
-            normalized = vec_scale(residual, inv, p)
-            chosen.pivots[r] = normalized
-            reps.append(normalized)
-    return reps
+    reps = (chosen.insert(image_elim.reduce(v)) for v in kernel)
+    return [rep for rep in reps if rep is not None]

@@ -65,11 +65,6 @@ class GroupModel:
         self.check_prime(p)
         return AlgebraPresentation(p, tuple(self.odd_generators()))
 
-    def chow_algebra(self, p: Prime) -> AlgebraPresentation:
-        """CH*(BG)/p as a polynomial algebra on the even generators."""
-        self.check_prime(p)
-        return AlgebraPresentation(p, tuple(self.even_generators()))
-
     def describe(self) -> str:
         if self.family == "GL":
             return f"GL_{self.n}"

@@ -212,7 +212,7 @@ def check_cohomological(query: SectionQuery) -> ObstructionReport:
         while j + i * (p.value - 1) <= top:
             image = apply_P_primitive(i, j, ctx)
             for mono, coeff in image.terms.items():
-                t = int(mono.odd[0][1:])
+                t = image.algebra.generators[mono.odd[0]].bidegree.weight
                 if t in target_idx:
                     witnesses.append(Witness(j, i, Fp(coeff, p)))
             i += 1
@@ -274,9 +274,3 @@ def divisibility_scan(q: int, p: Prime, n_max: int) -> DivisibilityScan:
             match = False
     return DivisibilityScan(q, p, n_max, tuple(rows), divisor, match,
                             raynaud_number(q, 0))
-
-
-def combined_modulus(q: int) -> int:
-    """The product over all primes of p^(1 + n(p, q)): below this modulus
-    no section exists in any characteristic."""
-    return raynaud_number(q, 0)

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from operator import add
 
-from .algebra import (AlgebraPresentation, Element, Monomial, bidegree_of,
-                      polynomial_algebra)
+from .algebra import (AlgebraPresentation, Element, Monomial, add_exps,
+                      bidegree_of, polynomial_algebra)
 from .modp import Prime, binom_mod_p
 from .models import GroupModel
 from .symmetric import reduced_power_on_elementary
@@ -59,46 +58,11 @@ def apply_P_primitive(i: int, j: int, ctx: SteenrodContext) -> Element:
     return alg.gen(f"a{target}") * coeff.residue
 
 
-def _parse_chern_index(name: str) -> int:
-    if not name.startswith("c"):
-        raise ValueError(f"{name!r} is not a Chern-class generator")
-    return int(name[1:])
-
-
-# Inside the total-operation engine an even Chern monomial is its exponent
-# tuple, entry k-1 holding the exponent of c_k, with no trailing zeros; a
-# truncated total operation is graded by weight as {weight: {exps: coeff}}.
+# An even Chern monomial of `polynomial_algebra` is its exponent tuple,
+# entry k-1 holding the exponent of c_k, with no trailing zeros; a truncated
+# total operation is graded by weight as {weight: {exps: coeff}}.
 Exps = tuple[int, ...]
 Graded = dict[int, dict[Exps, int]]
-
-_CHERN_NAMES: dict[int, str] = {}
-
-
-def _exps_of(mono: Monomial) -> tuple[Exps, int]:
-    """Exponent tuple and weight of an even Chern monomial."""
-    indexed = [(_parse_chern_index(name), e) for name, e in mono.even]
-    exps = [0] * max((k for k, _ in indexed), default=0)
-    for k, e in indexed:
-        exps[k - 1] = e
-    return tuple(exps), sum(k * e for k, e in indexed)
-
-
-def _monomial_of(exps: Exps) -> Monomial:
-    names = _CHERN_NAMES
-    even = []
-    for k, e in enumerate(exps, 1):
-        if e:
-            name = names.get(k)
-            if name is None:
-                name = names[k] = f"c{k}"
-            even.append((name, e))
-    return Monomial(tuple(even), ())
-
-
-def _add_exps(a: Exps, b: Exps) -> Exps:
-    if len(a) < len(b):
-        a, b = b, a
-    return tuple(map(add, a, b)) + a[len(b):]
 
 
 def _generator_total(p: int, j: int, cap: int) -> Graded:
@@ -123,7 +87,7 @@ def _mul_truncated(a: Graded, b: Graded, cap: int, p: int) -> Graded:
             bucket = out.setdefault(w1 + w2, {})
             for e1, c1 in terms1.items():
                 for e2, c2 in terms2.items():
-                    e = _add_exps(e1, e2)
+                    e = add_exps(e1, e2)
                     bucket[e] = bucket.get(e, 0) + c1 * c2
     reduced: Graded = {}
     for w, bucket in out.items():
@@ -156,7 +120,7 @@ def _total_power_of_monomial(p: int, exps: Exps, cap: int) -> Graded:
 
 def apply_P_polynomial(i: int, x: Element, p: Prime,
                        roots: int | None = None) -> Element:
-    """P^i on a polynomial in Chern classes c_1, c_2, ...
+    """P^i on an element of a polynomial algebra in c_1, c_2, ...
 
     The result is the weight-(w + i(p-1)) part of the total operation,
     computed per homogeneous component, and stable: it does not depend on
@@ -170,19 +134,20 @@ def apply_P_polynomial(i: int, x: Element, p: Prime,
     for mono in x.terms:
         if mono.odd:
             raise ValueError("element involves odd generators; use the primitive action")
+    if x.algebra != polynomial_algebra(p, len(x.algebra.generators)):
+        raise ValueError("expected an element of a polynomial algebra in c1, c2, ...")
 
     shift = i * (p.value - 1)
     terms = []
-    max_target = 0
     for mono, coeff in x.terms.items():
-        exps, w = _exps_of(mono)
-        max_target = max(max_target, w + shift)
+        w = sum(k * e for k, e in enumerate(mono.even, 1))
         # instability: P^i vanishes on classes of weight below i
         if i <= w:
-            terms.append((exps, w + shift, coeff))
-    if roots is not None and x.terms and roots < max_target:
+            terms.append((mono.even, w + shift, coeff))
+    targets = [t for _, t, _ in terms]
+    if roots is not None and targets and roots < max(targets):
         raise ValueError(f"{roots} roots are too few for faithful rewriting; "
-                         f"need at least {max_target}")
+                         f"need at least {max(targets)}")
 
     pv = p.value
     result: dict[Exps, int] = {}
@@ -190,15 +155,14 @@ def apply_P_polynomial(i: int, x: Element, p: Prime,
         total = _total_power_of_monomial(pv, exps, target)
         for e, c in total.get(target, {}).items():
             result[e] = (result.get(e, 0) + coeff * c) % pv
-    ambient = polynomial_algebra(p, max([t for _, t, _ in terms] + [1]))
-    return ambient.from_terms({_monomial_of(e): c for e, c in result.items()})
+    return polynomial_algebra(p, max(targets + [1])).from_terms(
+        {Monomial(e, ()): c for e, c in result.items()})
 
 
 def decomposable_quotient(x: Element) -> Element:
     """Image in the quotient by products of positive-degree classes:
     only single-generator, exponent-one monomials survive."""
-    keep = {m: c for m, c in x.terms.items()
-            if not m.odd and len(m.even) == 1 and m.even[0][1] == 1}
+    keep = {m: c for m, c in x.terms.items() if not m.odd and sum(m.even) == 1}
     return x.algebra.from_terms(keep)
 
 
@@ -252,23 +216,6 @@ class AxiomReport:
             ],
             "passed": self.passed,
         }
-
-
-def _embed(x: Element, ambient: AlgebraPresentation) -> Element:
-    return ambient.from_terms(dict(x.terms))
-
-
-def _sum_in_ambient(parts: list[Element], p: Prime) -> Element:
-    size = 1
-    for part in parts:
-        for mono in part.terms:
-            for name, _ in mono.even:
-                size = max(size, _parse_chern_index(name))
-    ambient = polynomial_algebra(p, size)
-    out = ambient.zero()
-    for part in parts:
-        out = out + _embed(part, ambient)
-    return out
 
 
 def _test_classes(p: Prime, degree_bound: int, n_generators: int,
@@ -348,13 +295,9 @@ def verify_axiom(axiom: str, p: Prime, degree_bound: int,
             n = 0
             while w + n * (pv - 1) <= degree_bound:
                 lhs = apply_P_polynomial(n, xy, p)
-                ambient = polynomial_algebra(p, max(w + n * (pv - 1), 1))
-                parts = []
-                for j in range(n + 1):
-                    px = _embed(apply_P_polynomial(j, x, p), ambient)
-                    py = _embed(apply_P_polynomial(n - j, y, p), ambient)
-                    parts.append(px * py)
-                rhs = _sum_in_ambient(parts, p)
+                parts = [apply_P_polynomial(j, x, p) * apply_P_polynomial(n - j, y, p)
+                         for j in range(n + 1)]
+                rhs = sum(parts[1:], parts[0])
                 report.record(f"P^{n}(({name_x})*({name_y})) = sum of products",
                               lhs, rhs)
                 n += 1
@@ -376,6 +319,6 @@ def verify_axiom(axiom: str, p: Prime, degree_bound: int,
                             continue
                         inner = apply_P_polynomial(t, x, p)
                         parts.append(apply_P_polynomial(a + b - t, inner, p) * coeff)
-                    rhs = _sum_in_ambient(parts, p) if parts else lhs.algebra.zero()
+                    rhs = sum(parts[1:], parts[0]) if parts else lhs.algebra.zero()
                     report.record(f"P^{a}P^{b}({name}) = Adem sum", lhs, rhs)
     return report

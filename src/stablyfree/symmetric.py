@@ -91,8 +91,10 @@ def elementary_monomial_expansion(exps: tuple[int, ...], n: int) -> MPoly:
 
     Cached; callers must not mutate the returned dict.
     """
-    while exps and exps[-1] == 0:
-        exps = exps[:-1]
+    end = len(exps)
+    while end and exps[end - 1] == 0:
+        end -= 1
+    exps = exps[:end]
     key = (n, exps)
     cached = _EXPANSION_CACHE.get(key)
     if cached is not None:

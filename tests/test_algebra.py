@@ -1,11 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stablyfree.algebra import (AlgebraPresentation, Bidegree, GeneratorSpec,
                                 INHOMOGENEOUS, bidegree_of, even_gen,
-                                iter_monomials, multiply, odd_gen,
+                                iter_monomials, odd_gen,
                                 polynomial_algebra, validate_realizability)
+from stablyfree.cli import parse_polynomial
 from stablyfree.modp import Prime
 from stablyfree.models import GroupModel, TorsionPrimeError, model_from_matrix_size
 
@@ -82,12 +85,11 @@ def test_validate_realizability():
 def test_multiply_contract_checks():
     alg = gl_algebra(P3, 5)
     other_p = gl_algebra(P5, 5)
-    x, y = alg.gen("a2"), alg.gen("a4")
-    assert multiply(x, y, alg) == x * y
+    x = alg.gen("a2")
     with pytest.raises(ValueError, match="modulus"):
-        multiply(x, other_p.gen("a2"), alg)
-    with pytest.raises(ValueError):
         x * other_p.gen("a2")
+    with pytest.raises(ValueError, match="modulus"):
+        x + other_p.gen("a2")
 
 
 def _random_homogeneous(alg, weight, rng):
@@ -148,17 +150,18 @@ def test_canonical_form_is_stable():
     assert again == x and again.render() == x.render()
     # normalizing an already canonical monomial changes nothing
     for mono in x.terms:
-        sign, rebuilt = alg.make_monomial(dict(mono.even), mono.odd)
+        even, odd = alg.named_factors(mono)
+        sign, rebuilt = alg.make_monomial(dict(even), odd)
         assert sign == 1 and rebuilt == mono
 
 
 def test_sign_normalization_on_construction():
     alg = gl_algebra(P5, 5)
     sign, mono = alg.make_monomial(odd=["a4", "a1", "a3"])
-    assert mono.odd == ("a1", "a3", "a4")
+    assert alg.named_factors(mono) == ([], ["a1", "a3", "a4"])
     assert sign == 1  # (a4 a1 a3) -> (a1 a3 a4) is an even permutation
     sign2, mono2 = alg.make_monomial(odd=["a2", "a1"])
-    assert sign2 == -1 and mono2.odd == ("a1", "a2")
+    assert sign2 == -1 and alg.named_factors(mono2) == ([], ["a1", "a2"])
     sign3, mono3 = alg.make_monomial(odd=["a1", "a1"])
     assert mono3 is None
 
@@ -205,3 +208,76 @@ def test_model_from_matrix_size():
         model_from_matrix_size("Sp", 5)
     with pytest.raises(ValueError):
         model_from_matrix_size("SO", 4)
+
+
+# -- positional monomials: names only at the boundary -------------------------
+
+def _chern_terms(n):
+    """Terms ({index: exponent}, coefficient) over c1..cn."""
+    monomial = st.dictionaries(st.integers(1, n), st.integers(0, 3), max_size=3)
+    return st.lists(st.tuples(monomial, st.integers(0, 6)), max_size=5)
+
+
+def _element(alg, terms):
+    out = alg.zero()
+    for exps, coeff in terms:
+        out = out + alg.monomial_element({f"c{k}": e for k, e in exps.items()},
+                                         coeff=coeff)
+    return out
+
+
+def _by_name(x, alg):
+    """Rebuild x in alg from the generator names of its JSON form."""
+    out = alg.zero()
+    for t in x.to_json()["terms"]:
+        out = out + alg.monomial_element(dict(t["even"]), t["odd"], t["coefficient"])
+    return out
+
+
+def _sized_terms():
+    return st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), _chern_terms(n)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([P2, P3, P5]), _sized_terms())
+def test_render_parse_and_json_round_trip(p, sized):
+    n, terms = sized
+    alg = polynomial_algebra(p, n)
+    x = _element(alg, terms)
+    assert parse_polynomial(x.render(), p) == x
+    rebuilt = _by_name(x, alg)
+    assert rebuilt == x and rebuilt.to_json() == x.to_json()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([P2, P3, P5]), _sized_terms(), _sized_terms())
+def test_mixed_sizes_match_the_larger_algebra(p, sized_x, sized_y):
+    (a, terms_x), (b, terms_y) = sized_x, sized_y
+    x = _element(polynomial_algebra(p, a), terms_x)
+    y = _element(polynomial_algebra(p, b), terms_y)
+    big = polynomial_algebra(p, max(a, b))
+    big_x, big_y = _by_name(x, big), _by_name(y, big)
+    assert (x + y).render() == (big_x + big_y).render()
+    assert (x * y).render() == (big_x * big_y).render()
+    assert (y * x).algebra is big
+
+
+def test_same_position_in_different_groups_is_not_equal():
+    # a1 of GL_2 and a2 of Sp_2 both sit at position 0
+    gl_a1 = GroupModel("GL", 2).group_algebra(P3).gen("a1")
+    sp_a2 = GroupModel("Sp", 1).group_algebra(P3).gen("a2")
+    assert gl_a1.terms == sp_a2.terms
+    assert gl_a1 != sp_a2
+
+
+def test_non_prefix_mix_raises():
+    gl_a1 = GroupModel("GL", 4).group_algebra(P3).gen("a1")
+    sp_a2 = GroupModel("Sp", 2).group_algebra(P3).gen("a2")
+    with pytest.raises(ValueError, match="incompatible"):
+        gl_a1 + sp_a2
+    with pytest.raises(ValueError, match="incompatible"):
+        gl_a1 * sp_a2
+    killed = AlgebraPresentation(P3, polynomial_algebra(P3, 2).generators,
+                                 frozenset({"c2"}))
+    with pytest.raises(ValueError, match="incompatible"):
+        killed.gen("c1") + polynomial_algebra(P3, 2).gen("c1")

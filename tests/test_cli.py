@@ -69,6 +69,16 @@ def test_steenrod_poly():
     assert code == 0 and out == "c1*c2 + c3\n"
 
 
+def test_steenrod_roots_checked_only_against_stable_components():
+    # P^20000(c1) = 0 by instability, in any number of roots
+    code, out, _ = run_cli("steenrod", "-p", "2", "--poly", "c1",
+                           "--op", "20000", "--roots", "5")
+    assert code == 0 and out == "0\n"
+    code, _, err = run_cli("steenrod", "-p", "2", "--poly", "c1",
+                           "--op", "1", "--roots", "1")
+    assert code == 2 and "need at least 2" in err
+
+
 def test_steenrod_unit():
     code, out, _ = run_cli("steenrod", "-p", "5", "--group", "GL:6",
                            "--class", "a3", "--op", "0")

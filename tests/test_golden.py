@@ -1,0 +1,156 @@
+"""Byte-identity of rendered output across changes to the implementation.
+
+Each case below renders a piece of user-visible output (axiom identities,
+CLI stdout in text and JSON) and is compared by sha256 digest with the
+output recorded before monomials became positional.  A refactor that
+changes a rendered term, an ordering or a JSON payload fails here; a
+deliberate output change must re-record the digest and say why.
+"""
+
+import hashlib
+import io
+from contextlib import redirect_stdout
+
+import pytest
+
+from stablyfree.cli import main
+from stablyfree.modp import Prime
+from stablyfree.steenrod import verify_axiom
+
+
+def _axiom(axiom, p, bound):
+    report = verify_axiom(axiom, Prime(p), bound)
+    return "\n".join(f"{c.description}|{c.lhs}|{c.rhs}|{c.passed}"
+                     for c in report.checks)
+
+
+def _cli(*argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(list(argv))
+    return f"exit {code}\n{out.getvalue()}"
+
+
+def _steenrod(p, poly, op):
+    return _cli("steenrod", "-p", str(p), "--poly", poly, "--op", str(op), "--json")
+
+
+CASES = {
+    "axiom adem p=2 bound=14": lambda: _axiom("adem", 2, 14),
+    "axiom adem p=3 bound=14": lambda: _axiom("adem", 3, 14),
+    "axiom adem p=5 bound=13": lambda: _axiom("adem", 5, 13),
+    "axiom cartan p=2 bound=10": lambda: _axiom("cartan", 2, 10),
+    "axiom cartan p=3 bound=10": lambda: _axiom("cartan", 3, 10),
+    "axiom cartan p=5 bound=12": lambda: _axiom("cartan", 5, 12),
+    "axiom pth_power p=2 bound=12": lambda: _axiom("pth_power", 2, 12),
+    "axiom instability p=3 bound=12": lambda: _axiom("instability", 3, 12),
+    "steenrod p=2 c1^2*c2 + c3 op=2": lambda: _steenrod(2, "c1^2*c2 + c3", 2),
+    "steenrod p=2 c4 op=3": lambda: _steenrod(2, "c4", 3),
+    "steenrod p=2 c1 op=5": lambda: _steenrod(2, "c1", 5),
+    "steenrod p=3 2*c1*c2 + c3 op=1": lambda: _steenrod(3, "2*c1*c2 + c3", 1),
+    "steenrod p=3 c2^2 op=2": lambda: _steenrod(3, "c2^2", 2),
+    "steenrod p=5 c1*c3 + 3*c4 op=1": lambda: _steenrod(5, "c1*c3 + 3*c4", 1),
+    "steenrod p=5 c2 op=2": lambda: _steenrod(5, "c2", 2),
+    "steenrod p=7 c3 op=1": lambda: _steenrod(7, "c3", 1),
+    "steenrod p=7 4*c1*c2 op=2": lambda: _steenrod(7, "4*c1*c2", 2),
+    "steenrod p=3 Sp:6 a2 op=1": lambda: _cli(
+        "steenrod", "-p", "3", "--group", "Sp:6", "--class", "a2", "--op", "1",
+        "--json"),
+    "tor GL n=4 r=1 p=2": lambda: _cli("tor", "--family", "GL", "--n", "4",
+                                       "--r", "1", "-p", "2"),
+    "tor GL n=5 r=2 p=3 json": lambda: _cli("tor", "--family", "GL", "--n", "5",
+                                            "--r", "2", "-p", "3", "--json"),
+    "tor GL n=6 r=3 p=2 bound=24": lambda: _cli(
+        "tor", "--family", "GL", "--n", "6", "--r", "3", "-p", "2", "--bound", "24"),
+    "tor Sp n=3 p=3": lambda: _cli("tor", "--family", "Sp", "--n", "3", "-p", "3"),
+    "tor Sp n=3 r=1 p=2 json": lambda: _cli("tor", "--family", "Sp", "--n", "3",
+                                            "--r", "1", "-p", "2", "--json"),
+    "tor SO n=3 p=5": lambda: _cli("tor", "--family", "SO", "--n", "3", "-p", "5"),
+    "tor SO n=2 r=0 p=3 json": lambda: _cli("tor", "--family", "SO", "--n", "2",
+                                            "--r", "0", "-p", "3", "--json"),
+    "obstruct gl n=5 a=1 b=4 p=2": lambda: _cli(
+        "obstruct", "gl", "--n", "5", "--a", "1", "--b", "4", "-p", "2",
+        "--oracle", "--json"),
+    "obstruct gl n=6 a=0 b=5 p=3": lambda: _cli(
+        "obstruct", "gl", "--n", "6", "--a", "0", "--b", "5", "-p", "3",
+        "--oracle", "--json"),
+    "obstruct sp n=4 p=3": lambda: _cli("obstruct", "sp", "--n", "4", "-p", "3",
+                                        "--oracle", "--json"),
+    "obstruct sp n=3 p=2": lambda: _cli("obstruct", "sp", "--n", "3", "-p", "2",
+                                        "--oracle", "--json"),
+    "obstruct so n=3 p=5": lambda: _cli("obstruct", "so", "--n", "3", "-p", "5",
+                                        "--oracle", "--json"),
+    "scan q=3 p=2": lambda: _cli("obstruct", "scan", "--q", "3", "-p", "2",
+                                 "--n-max", "40", "--json"),
+}
+
+DIGESTS = {
+    'axiom adem p=2 bound=14':
+        '7e69e23659095fc422bc854506f0ea21dab6899a6239317ed23bc6b0a1bbee1b',
+    'axiom adem p=3 bound=14':
+        'd11b3e307bf39c9b1f03f7ce0dd6ca45908a5e3306855b5e2a04a4ddf80ecbae',
+    'axiom adem p=5 bound=13':
+        '14cd7cc68c608f107326b4599b3860c931e177d06ccd4ef47050b838d7adb809',
+    'axiom cartan p=2 bound=10':
+        'e38ccbaaefd9f9c2e9fac4f9550bfd76b36b680be9e99e02e33fef0a5904cdcd',
+    'axiom cartan p=3 bound=10':
+        'ba0ac67a6194d8ea0c3efd36e8a3b354f326204d52b646ba2a0b834a8a4d5fb2',
+    'axiom cartan p=5 bound=12':
+        '44e305e422b2db2f5dcaa3593c6b54ca062c5a3e8fa7f86f647dfe106cd67067',
+    'axiom instability p=3 bound=12':
+        '6eaaad06493a9438b8bde96562262dfb9abb5dafbea1183b85e78a83d145c50c',
+    'axiom pth_power p=2 bound=12':
+        '2cfd3f6db48fa5fee98bbb11409f1d8b56cacace818ffc766dfb04e263d611e0',
+    'obstruct gl n=5 a=1 b=4 p=2':
+        'f675e6a1c6f1afaab92335c45b63f51407be3a5080f71e1beb7dbce08627d8ea',
+    'obstruct gl n=6 a=0 b=5 p=3':
+        'a7f008a4d5bcf7aa8879c2c446dc9869a1e3397c25890be29432d06f57230a48',
+    'obstruct so n=3 p=5':
+        '2c4887f00618356df3c7612c37603b4f4be3113ce8e605d4b71dad9bd40eb38c',
+    'obstruct sp n=3 p=2':
+        'b0555e39af73e35b91b74b572eacb9642aef06d520d7221ddeed81a7d23ac8e3',
+    'obstruct sp n=4 p=3':
+        '58708f0ad1b260c5b7683aabca8b2c5a16100866c4802de0611a82cf8a1df0cf',
+    'scan q=3 p=2':
+        '5dbd9f3c0d1c8fc3cded96b7f9a88775e378c401f07babe9e74de09ae817d203',
+    'steenrod p=2 c1 op=5':
+        '43c03205bf2b6cbf1e1b46410e3b83733f2638f69984e668d84c8a90aefdc34f',
+    'steenrod p=2 c1^2*c2 + c3 op=2':
+        '6c3a44b4ec85e36bdf0a56c7ae42e0606d0b5a3d81840493444985180fc7de7d',
+    'steenrod p=2 c4 op=3':
+        'af3f1126570fc856c323dae5a31ed11c90ca953c68f99130226fe69eb8506a84',
+    'steenrod p=3 2*c1*c2 + c3 op=1':
+        'd1105e065f801d5d2afe4ee1e3d4784c449e80e7fe28954611e3101300858ddb',
+    'steenrod p=3 Sp:6 a2 op=1':
+        '60eb2c6510583fd156e9960d4280ed6934089eeadb30df93c6edf66d4a44dcb8',
+    'steenrod p=3 c2^2 op=2':
+        '0bf64fecfe46ea176a1f4a90186c667894b77eb12e31210baa44d02a0d26a0b0',
+    'steenrod p=5 c1*c3 + 3*c4 op=1':
+        '012e588e29cd221c13c27bdcb491a3a1c21a505a8e85f7f2bf4113e2617498f7',
+    'steenrod p=5 c2 op=2':
+        '281b5ee7847aa96da7b7f353a04315e7c75712355b62e687dc78714bb62c6fe5',
+    'steenrod p=7 4*c1*c2 op=2':
+        '8b90ed21dc70a8ee04b20aad5687f8107eade15ca36d6c112c9103d3be6eaa1c',
+    'steenrod p=7 c3 op=1':
+        '2344d9b08f1dd9eeaf635debf86ee917a3463663eaa9fcaeb1d36fb1db69ec2b',
+    'tor GL n=4 r=1 p=2':
+        '6846ca61bb9691f0ba911e8fab8de4b3720faac0392d018bf90b02b365e41053',
+    'tor GL n=5 r=2 p=3 json':
+        'cb17215a4be8255e19715829c74ad3245addc3c6ec7b102d95b0636c720f8887',
+    'tor GL n=6 r=3 p=2 bound=24':
+        '7d9ec7c04b308fbb00969253f15c9d0c0cd740d74739e759d0a998a9dc9db018',
+    'tor SO n=2 r=0 p=3 json':
+        'ac31a2595b3ba27cc26a6e1361443cb7763a3164f33f0c2b38f9ca067bde1201',
+    'tor SO n=3 p=5':
+        '0d5e9d2c39a5d0e2b3208d0a0b8e9270966c293e91242e553427b7d449d31018',
+    'tor Sp n=3 p=3':
+        '37951baa16c6912b309e46d47fbc349ecdfb7a049c58d10a0e8c461ca439a344',
+    'tor Sp n=3 r=1 p=2 json':
+        '8491dc84f5646e9ce1371186a43cd213c1f06a82567ab8d6f30b7563c54c7d9d',
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_recorded_digest(name):
+    digest = hashlib.sha256(CASES[name]().encode()).hexdigest()
+    assert digest == DIGESTS[name]

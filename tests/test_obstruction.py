@@ -1,12 +1,11 @@
 import pytest
 
-from stablyfree.modp import Fp, Prime, binom_mod_p
+from stablyfree.modp import Fp, Prime, binom_mod_p, raynaud_number
 from stablyfree.models import TorsionPrimeError
 from stablyfree.obstruction import (NO_OBSTRUCTION_TEXT,
                                     SectionQuery, Witness, check_cohomological,
                                     check_gl_quotient, check_orthogonal,
-                                    check_symplectic, combined_modulus,
-                                    divisibility_scan)
+                                    check_symplectic, divisibility_scan)
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
 
@@ -173,11 +172,12 @@ def test_divisibility_scan_validation():
 
 
 def test_combined_modulus():
-    assert combined_modulus(1) == 1
-    assert combined_modulus(2) == 2
-    assert combined_modulus(3) == 12
-    assert combined_modulus(4) == 12  # 2^2 * 3: n(2,4) = 1, n(3,4) = 0
-    assert combined_modulus(5) == 120
+    # the modulus over all characteristics is raynaud_number(q, 0)
+    assert raynaud_number(1, 0) == 1
+    assert raynaud_number(2, 0) == 2
+    assert raynaud_number(3, 0) == 12
+    assert raynaud_number(4, 0) == 12  # 2^2 * 3: n(2,4) = 1, n(3,4) = 0
+    assert raynaud_number(5, 0) == 120
 
 
 def test_scan_report_rendering():

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from stablyfree.algebra import Bidegree, bidegree_of, polynomial_algebra
+from stablyfree.algebra import (AlgebraPresentation, Bidegree, bidegree_of,
+                                even_gen, polynomial_algebra)
 from stablyfree.modp import Prime, binom_mod_p
 from stablyfree.models import GroupModel, TorsionPrimeError
 from stablyfree import steenrod
@@ -88,6 +89,10 @@ def test_polynomial_rejects_odd_and_mismatched():
     A = polynomial_algebra(P3, 2)
     with pytest.raises(ValueError, match="modulus"):
         apply_P_polynomial(1, A.gen("c1"), P5)
+    # c2 alone sits at position 0, where a polynomial algebra has c1
+    lone_c2 = AlgebraPresentation(P3, (even_gen("c2", 2),))
+    with pytest.raises(ValueError, match="polynomial algebra"):
+        apply_P_polynomial(1, lone_c2.gen("c2"), P3)
 
 
 def test_polynomial_roots_bound():
@@ -134,7 +139,8 @@ def test_additivity():
 def _as_exponent_map(element):
     out = {}
     for mono, coeff in element.terms.items():
-        out[tuple(sorted((int(n[1:]), e) for n, e in mono.even))] = coeff
+        even, _ = element.algebra.named_factors(mono)
+        out[tuple(sorted((int(n[1:]), e) for n, e in even))] = coeff
     return out
 
 
