@@ -140,6 +140,22 @@ def _is_extrapolated(query: SectionQuery) -> bool:
     return query.b != query.n - 1 and query.a != query.b
 
 
+def _witness_scan(sources: range, targets: range, p: Prime) -> tuple[Witness, ...]:
+    """The witness rule of every combinatorial check: P^i(a_m) =
+    C(m-1, i) * a_{m+i(p-1)} for a lost source m, i >= 1 and m + i(p-1) in
+    the contiguous range of surviving targets, kept when the residue is
+    nonzero.  Ordered by source, then by operation."""
+    step = p.value - 1
+    witnesses = []
+    for m in sources:
+        first = max(1, -((m - targets.start) // step))  # ceil((start - m) / step)
+        for i in range(first, (targets.stop - 1 - m) // step + 1):
+            residue = binom_mod_p(m - 1, i, p)
+            if residue:
+                witnesses.append(Witness(m, i, residue))
+    return tuple(witnesses)
+
+
 def check_gl_quotient(n: int, a: int, b: int, p: Prime) -> ObstructionReport:
     """Witness scan for GL_n/GL_a -> GL_n/GL_b.
 
@@ -147,32 +163,14 @@ def check_gl_quotient(n: int, a: int, b: int, p: Prime) -> ObstructionReport:
     b < m + i(p-1) <= n (the image survives), and C(m-1, i) nonzero.
     """
     query = SectionQuery("GL", n, p, a, b)
-    witnesses = []
-    for m in range(a + 1, b + 1):
-        i = 1
-        while m + i * (p.value - 1) <= n:
-            if m + i * (p.value - 1) >= b + 1:
-                residue = binom_mod_p(m - 1, i, p)
-                if residue:
-                    witnesses.append(Witness(m, i, residue))
-            i += 1
-    return ObstructionReport(query, tuple(witnesses), "combinatorial",
-                             _is_extrapolated(query))
+    witnesses = _witness_scan(range(a + 1, b + 1), range(b + 1, n + 1), p)
+    return ObstructionReport(query, witnesses, "combinatorial", _is_extrapolated(query))
 
 
 def _corank_one_witnesses(n: int, p: Prime) -> tuple[Witness, ...]:
-    """Shared witness rule for Sp_2n and SO_{2n+1}: generators a_{2m} with
-    m < n must land exactly on the surviving top class a_{2n}."""
-    witnesses = []
-    for m in range(1, n):
-        i = 1
-        while 2 * m + i * (p.value - 1) <= 2 * n:
-            if 2 * m + i * (p.value - 1) == 2 * n:
-                residue = binom_mod_p(2 * m - 1, i, p)
-                if residue:
-                    witnesses.append(Witness(2 * m, i, residue))
-            i += 1
-    return tuple(witnesses)
+    """Sp_2n and SO_{2n+1}: generators a_{2m} with m < n must land on the
+    surviving top class a_{2n}."""
+    return _witness_scan(range(2, 2 * n, 2), range(2 * n, 2 * n + 1), p)
 
 
 def check_symplectic(n: int, p: Prime) -> ObstructionReport:

@@ -3,8 +3,9 @@
 Two engines.  On polynomial algebras of Chern classes the action is
 forced by the axioms: each generator is an elementary symmetric
 polynomial in weight-one roots, a root t maps to t + t^p, and the total
-operation is multiplicative, so images of monomials are truncated
-products of cached generator images.  On the primitive odd generators of
+operation is multiplicative.  So P^i of a monomial follows from the
+Cartan formula, recursing on halves of the monomial down to the cached
+images of single generators.  On the primitive odd generators of
 a group model the action is the closed-form binomial rule.  A
 verification harness checks the two engines against the defining axioms.
 """
@@ -12,7 +13,11 @@ verification harness checks the two engines against the defining axioms.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import accumulate
+from operator import mul
 
 from .algebra import (AlgebraPresentation, Element, Monomial, add_exps,
                       bidegree_of, polynomial_algebra)
@@ -59,63 +64,46 @@ def apply_P_primitive(i: int, j: int, ctx: SteenrodContext) -> Element:
 
 
 # An even Chern monomial of `polynomial_algebra` is its exponent tuple,
-# entry k-1 holding the exponent of c_k, with no trailing zeros; a truncated
-# total operation is graded by weight as {weight: {exps: coeff}}.
+# entry k-1 holding the exponent of c_k, with no trailing zeros.
 Exps = tuple[int, ...]
-Graded = dict[int, dict[Exps, int]]
 
 
-def _generator_total(p: int, j: int, cap: int) -> Graded:
-    """Truncated total operation on c_j: P^a(c_j) in weight j + a(p-1) <= cap."""
-    out: Graded = {}
-    for a in range(min(j, (cap - j) // (p - 1)) + 1):
-        bucket = {exps: c % p
-                  for exps, c in reduced_power_on_elementary(p, a, j).items()
-                  if c % p}
-        if bucket:
-            out[j + a * (p - 1)] = bucket
-    return out
+def _weight(exps: Exps) -> int:
+    return sum(map(mul, exps, range(1, len(exps) + 1)))
 
 
-def _mul_truncated(a: Graded, b: Graded, cap: int, p: int) -> Graded:
-    """Product of graded totals, dropping weights above cap."""
-    out: Graded = {}
-    for w1, terms1 in a.items():
-        for w2, terms2 in b.items():
-            if w1 + w2 > cap:
-                continue
-            bucket = out.setdefault(w1 + w2, {})
-            for e1, c1 in terms1.items():
-                for e2, c2 in terms2.items():
-                    e = add_exps(e1, e2)
-                    bucket[e] = bucket.get(e, 0) + c1 * c2
-    reduced: Graded = {}
-    for w, bucket in out.items():
-        bucket = {e: c % p for e, c in bucket.items() if c % p}
-        if bucket:
-            reduced[w] = bucket
-    return reduced
+@lru_cache(maxsize=None)
+def _power_on_monomial(p: int, i: int, exps: Exps) -> dict[Exps, int]:
+    """P^i on an even monomial, as {exps: residue mod p}.
 
-
-# cache: (p, exponent tuple) -> (cap computed up to, graded total); a hit
-# may hold weights above the cap asked for, so readers pick their weight
-_TOTAL_CACHE: dict[tuple[int, Exps], tuple[int, Graded]] = {}
-
-
-def _total_power_of_monomial(p: int, exps: Exps, cap: int) -> Graded:
-    """Total operation on an even monomial, truncated at weight cap."""
-    key = (p, exps)
-    cached = _TOTAL_CACHE.get(key)
-    if cached is not None and cached[0] >= cap:
-        return cached[1]
-    total: Graded = {0: {(): 1}}
-    for j, exp in enumerate(exps, 1):
-        if exp:
-            gen_total = _generator_total(p, j, cap)
-            for _ in range(exp):
-                total = _mul_truncated(total, gen_total, cap, p)
-    _TOTAL_CACHE[key] = (cap, total)
-    return total
+    A single c_j (or 1) is the seed from the symmetric layer.  Any other
+    monomial is split into its first half of factors u and the rest v, and
+    the Cartan formula P^i(uv) = sum_a P^a(u) P^{i-a}(v) runs over the a
+    that instability leaves nonzero.  Halving keeps the recursion about
+    log2(degree) deep, and c_j^e splits into equal halves that share one
+    cache entry.  Cached; do not mutate the result.
+    """
+    factors = list(accumulate(exps))  # factors[k]: how many are c_1 .. c_{k+1}
+    if not exps or factors[-1] == 1:
+        return {e: c % p for e, c in reduced_power_on_elementary(p, i, len(exps)).items()
+                if c % p}
+    h = factors[-1] // 2  # u is the first h factors
+    k = bisect_left(factors, h)  # the h-th factor is c_{k+1}
+    h -= factors[k - 1] if k else 0  # u's share of the c_{k+1}
+    u, v = exps[:k] + (h,), (0,) * k + (exps[k] - h,) + exps[k + 1:]
+    w_u, w_v = _weight(u), _weight(v)
+    out: dict[Exps, int] = {}
+    for a in range(max(0, i - w_v), min(i, w_u) + 1):
+        # P^0 is the identity: the a = 0 and a = i terms recurse on one side only
+        left = _power_on_monomial(p, a, u) if a else {u: 1}
+        if not left:
+            continue
+        right = _power_on_monomial(p, i - a, v) if a < i else {v: 1}
+        for e1, c1 in left.items():
+            for e2, c2 in right.items():
+                e = add_exps(e1, e2)
+                out[e] = out.get(e, 0) + c1 * c2
+    return {e: c % p for e, c in out.items() if c % p}
 
 
 def apply_P_polynomial(i: int, x: Element, p: Prime,
@@ -140,7 +128,7 @@ def apply_P_polynomial(i: int, x: Element, p: Prime,
     shift = i * (p.value - 1)
     terms = []
     for mono, coeff in x.terms.items():
-        w = sum(k * e for k, e in enumerate(mono.even, 1))
+        w = _weight(mono.even)
         # instability: P^i vanishes on classes of weight below i
         if i <= w:
             terms.append((mono.even, w + shift, coeff))
@@ -151,11 +139,13 @@ def apply_P_polynomial(i: int, x: Element, p: Prime,
 
     pv = p.value
     result: dict[Exps, int] = {}
-    for exps, target, coeff in terms:
-        total = _total_power_of_monomial(pv, exps, target)
-        for e, c in total.get(target, {}).items():
+    for exps, _, coeff in terms:
+        for e, c in _power_on_monomial(pv, i, exps).items():
             result[e] = (result.get(e, 0) + coeff * c) % pv
-    return polynomial_algebra(p, max(targets + [1])).from_terms(
+    # P^a(c_k) involves c_1 .. c_{k + a(p-1)} only, so by the Cartan formula
+    # the image of a monomial needs no index above its largest one plus shift
+    size = max([len(exps) + shift for exps, _, _ in terms] + [1])
+    return polynomial_algebra(p, size).from_terms(
         {Monomial(e, ()): c for e, c in result.items()})
 
 

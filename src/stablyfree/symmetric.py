@@ -15,98 +15,80 @@ computed in the stable range and cached.
 
 from __future__ import annotations
 
-from math import comb, factorial
+from functools import lru_cache
+from itertools import takewhile
+from math import comb
+from operator import not_, sub
 
 Partition = tuple[int, ...]
 MPoly = dict[Partition, int]
 
 
-def orbit_size(lam: Partition, n: int) -> int:
-    """Number of distinct monomials with exponent pattern lam in n variables."""
-    if len(lam) > n:
-        return 0
-    out = factorial(n)
-    seen_counts: dict[int, int] = {}
-    for v in lam:
-        seen_counts[v] = seen_counts.get(v, 0) + 1
-    for count in seen_counts.values():
-        out //= factorial(count)
-    out //= factorial(n - len(lam))
-    return out
-
-
 def _blocks(lam: Partition, n: int) -> list[tuple[int, int]]:
     """(value, multiplicity) blocks of lam padded with zeros to n entries,
     values descending."""
-    blocks: list[tuple[int, int]] = []
-    for v in lam:
-        if blocks and blocks[-1][0] == v:
-            blocks[-1] = (v, blocks[-1][1] + 1)
-        else:
-            blocks.append((v, 1))
+    blocks = [(v, lam.count(v)) for v in dict.fromkeys(lam)]
     if n > len(lam):
         blocks.append((0, n - len(lam)))
     return blocks
 
 
 def mul_by_elementary(poly: MPoly, j: int, n: int) -> MPoly:
-    """Product (in n variables) of a monomial-basis polynomial with e_j."""
+    """Product (in n variables) of a monomial-basis polynomial with e_j.
+
+    e_j raises j of the n entries of lam (padded with zeros) by one, k of
+    them in each block of equal entries.  The coefficient of m_kappa counts
+    the ways a fixed monomial x^kappa arises: for a block of value v, pick
+    which k of the entries of kappa equal to v + 1 were raised from it.
+    """
     if j == 0:
         return dict(poly)
     if j > n:
         return {}
     out: MPoly = {}
     for lam, coeff in poly.items():
-        lam_orbit = orbit_size(lam, n)
         blocks = _blocks(lam, n)
+        room = [0] * (len(blocks) + 1)  # entries in blocks bi, bi + 1, ...
+        for bi in range(len(blocks) - 1, -1, -1):
+            room[bi] = room[bi + 1] + blocks[bi][1]
 
         def rec(bi: int, left: int, chosen: list[int]):
             if left == 0:
                 chosen_full = chosen + [0] * (len(blocks) - len(chosen))
-                ways = 1
                 entries: list[int] = []
                 for (value, count), k in zip(blocks, chosen_full):
-                    ways *= comb(count, k)
-                    entries.extend([value + 1] * k)
-                    entries.extend([value] * (count - k))
-                kappa = tuple(sorted((e for e in entries if e), reverse=True))
-                contrib = coeff * ways * lam_orbit // orbit_size(kappa, n)
-                out[kappa] = out.get(kappa, 0) + contrib
-                return
-            if bi == len(blocks):
+                    entries += [value + 1] * k + [value] * (count - k if value else 0)
+                # blocks descend, so the raised entries keep kappa descending
+                kappa = tuple(entries)
+                ways = 1
+                for (value, _), k in zip(blocks, chosen_full):
+                    ways *= comb(kappa.count(value + 1), k)
+                out[kappa] = out.get(kappa, 0) + coeff * ways
                 return
             count = blocks[bi][1]
-            for k in range(min(count, left), -1, -1):
+            for k in range(min(count, left), max(0, left - room[bi + 1]) - 1, -1):
                 rec(bi + 1, left - k, chosen + [k])
 
         rec(0, j, [])
     return {k: v for k, v in out.items() if v}
 
 
-_EXPANSION_CACHE: dict[tuple[int, tuple[int, ...]], MPoly] = {}
+def _trimmed(exps: tuple[int, ...]) -> tuple[int, ...]:
+    return exps[:len(exps) - len(list(takewhile(not_, reversed(exps))))]
 
 
+@lru_cache(maxsize=None)
 def elementary_monomial_expansion(exps: tuple[int, ...], n: int) -> MPoly:
     """Expansion of prod_i e_i^{exps[i-1]} in the monomial basis, n variables.
 
     Cached; callers must not mutate the returned dict.
     """
-    end = len(exps)
-    while end and exps[end - 1] == 0:
-        end -= 1
-    exps = exps[:end]
-    key = (n, exps)
-    cached = _EXPANSION_CACHE.get(key)
-    if cached is not None:
-        return cached
+    if exps and not exps[-1]:
+        return elementary_monomial_expansion(_trimmed(exps), n)
     if not exps:
-        result: MPoly = {(): 1}
-    else:
-        i = len(exps)
-        reduced = exps[:-1] + (exps[-1] - 1,)
-        result = mul_by_elementary(elementary_monomial_expansion(reduced, n), i, n)
-    _EXPANSION_CACHE[key] = result
-    return result
+        return {(): 1}
+    reduced = _trimmed(exps[:-1] + (exps[-1] - 1,))
+    return mul_by_elementary(elementary_monomial_expansion(reduced, n), len(exps), n)
 
 
 def to_elementary_basis(poly: MPoly, n: int) -> dict[tuple[int, ...], int]:
@@ -125,8 +107,7 @@ def to_elementary_basis(poly: MPoly, n: int) -> dict[tuple[int, ...], int]:
     while work:
         lam = max(work)
         coeff = work.pop(lam)
-        padded = lam + (0,)
-        e_exps = tuple(padded[i] - padded[i + 1] for i in range(len(lam)))
+        e_exps = tuple(map(sub, lam, lam[1:] + (0,)))
         out[e_exps] = out.get(e_exps, 0) + coeff
         expansion = elementary_monomial_expansion(e_exps, n)
         for mu, c in expansion.items():
@@ -140,9 +121,7 @@ def to_elementary_basis(poly: MPoly, n: int) -> dict[tuple[int, ...], int]:
     return {k: v for k, v in out.items() if v}
 
 
-_POWER_CACHE: dict[tuple[int, int, int], dict[tuple[int, ...], int]] = {}
-
-
+@lru_cache(maxsize=None)
 def reduced_power_on_elementary(p: int, i: int, j: int) -> dict[tuple[int, ...], int]:
     """The i-th reduced power of e_j, as a Z-polynomial in e_1, e_2, ...
 
@@ -152,17 +131,9 @@ def reduced_power_on_elementary(p: int, i: int, j: int) -> dict[tuple[int, ...],
     Computed in the stable range, so the answer is valid in any number of
     variables >= j + i(p-1).  Cached; do not mutate the result.
     """
-    key = (p, i, j)
-    cached = _POWER_CACHE.get(key)
-    if cached is not None:
-        return cached
     if i > j:
-        result: dict[tuple[int, ...], int] = {}
-    elif j == 0:
-        result = {(): 1} if i == 0 else {}
-    else:
-        lam = (p,) * i + (1,) * (j - i)
-        degree = j + i * (p - 1)
-        result = to_elementary_basis({lam: 1}, degree + 1)
-    _POWER_CACHE[key] = result
-    return result
+        return {}
+    if j == 0:
+        return {(): 1}
+    lam = (p,) * i + (1,) * (j - i)
+    return to_elementary_basis({lam: 1}, j + i * (p - 1) + 1)

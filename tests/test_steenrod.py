@@ -1,9 +1,10 @@
+import math
 import random
 
 import pytest
 
-from stablyfree.algebra import (AlgebraPresentation, Bidegree, bidegree_of,
-                                even_gen, polynomial_algebra)
+from stablyfree.algebra import (AlgebraPresentation, Bidegree, Monomial,
+                                bidegree_of, even_gen, polynomial_algebra)
 from stablyfree.modp import Prime, binom_mod_p
 from stablyfree.models import GroupModel, TorsionPrimeError
 from stablyfree import steenrod
@@ -176,8 +177,8 @@ def test_oracle_agreement_on_products(p):
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_oracle_agreement_through_target_weight_12(p):
     # every monomial of weight <= 6 in c1..c6, every P^i landing in weight
-    # <= 12; i runs down first (cached totals reused at a smaller cap),
-    # then up from an empty cache (the cap grows call by call)
+    # <= 12; i runs down first and then up, each time from an empty cache,
+    # so images of shared sub-monomials are reused in either order
     prime = Prime(p)
     A = polynomial_algebra(prime, 6)
     cases = []
@@ -188,7 +189,7 @@ def test_oracle_agreement_through_target_weight_12(p):
             x = A.monomial_element({f"c{j}": d for j, d in exps.items()})
             cases.append((exps, x, ops, wanted))
     for descending in (True, False):
-        steenrod._TOTAL_CACHE.clear()
+        steenrod._power_on_monomial.cache_clear()
         for exps, x, ops, wanted in cases:
             for i in (reversed(ops) if descending else ops):
                 mine = _as_exponent_map(apply_P_polynomial(i, x, prime))
@@ -208,6 +209,50 @@ def test_unstable_operation_is_zero_in_a_small_ambient():
     y = apply_P_polynomial(3, mixed, P3)
     assert y == apply_P_polynomial(3, A.gen("c3"), P3)
     assert len(y.algebra.generators) == 3 + 3 * 2
+
+
+def test_cartan_on_a_product_of_fourteen_generators():
+    A = polynomial_algebra(P2, 14)
+    gens = [A.gen(f"c{k}") for k in range(1, 15)]
+    want = A.zero()
+    for k, ck in enumerate(gens):
+        term = apply_P_polynomial(1, ck, P2)
+        for j, cj in enumerate(gens):
+            if j != k:
+                term = term * cj
+        want = want + term
+    x = A.monomial_element({f"c{k}": 1 for k in range(1, 15)})
+    assert not want.is_zero()
+    assert apply_P_polynomial(1, x, P2) == want
+
+
+def test_cartan_on_a_high_power():
+    # P^2(c2^500) = C(500, 2) P^1(c2)^2 c2^498 + 500 P^2(c2) c2^499
+    A = polynomial_algebra(P3, 2)
+    c2 = A.gen("c2")
+    want = (apply_P_polynomial(1, c2, P3) ** 2 * A.monomial_element({"c2": 498})
+            * math.comb(500, 2)
+            + apply_P_polynomial(2, c2, P3) * A.monomial_element({"c2": 499}) * 500)
+    assert not want.is_zero()
+    assert apply_P_polynomial(2, A.monomial_element({"c2": 500}), P3) == want
+
+
+def test_product_of_1500_generators_stays_shallow():
+    # P^1(c_k) = c1*c_k + (k+1)*c_{k+1} at p = 2, so by the Cartan formula
+    # P^1(c1*...*c1500) is 1500*c1*(c1*...*c1500), which is 0, plus one
+    # term per even k: c_k is replaced by c_{k+1}
+    n = 1500
+    A = polynomial_algebra(P2, n)
+    y = apply_P_polynomial(1, A.monomial_element({f"c{k}": 1 for k in range(1, n + 1)}), P2)
+    want = {}
+    for k in range(2, n + 1, 2):
+        exps = [1] * n + [0]
+        exps[k - 1] -= 1
+        exps[k] += 1
+        while not exps[-1]:
+            exps.pop()
+        want[Monomial(tuple(exps), ())] = 1
+    assert y.terms == want
 
 
 def test_oracle_stability_in_root_count():

@@ -4,7 +4,7 @@ from itertools import combinations, permutations
 import pytest
 
 from stablyfree.symmetric import (elementary_monomial_expansion,
-                                  mul_by_elementary, orbit_size,
+                                  mul_by_elementary,
                                   reduced_power_on_elementary,
                                   to_elementary_basis)
 
@@ -36,15 +36,6 @@ def dense_elementary(j, n):
             vec[i] = 1
         out[tuple(vec)] = 1
     return out
-
-
-def test_orbit_size():
-    assert orbit_size((), 3) == 1
-    assert orbit_size((1,), 3) == 3
-    assert orbit_size((1, 1), 3) == 3
-    assert orbit_size((2, 1), 3) == 6
-    assert orbit_size((1, 1, 1), 3) == 1
-    assert orbit_size((1, 1, 1, 1), 3) == 0
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
