@@ -152,20 +152,14 @@ def _parse_group(text: str) -> GroupModel:
     m = re.fullmatch(r"(GL|Sp|SO):(\d+)", text)
     if not m:
         raise CliError(f"--group expects FAMILY:SIZE (e.g. Sp:4), got {text!r}")
-    try:
-        return model_from_matrix_size(m.group(1), int(m.group(2)))
-    except ValueError as e:
-        raise CliError(str(e)) from None
+    return model_from_matrix_size(m.group(1), int(m.group(2)))
 
 
 def cmd_tor(args) -> int:
     p = _prime(args.p)
-    try:
-        table = homogeneous_space_tor(args.family, args.n, args.r, p,
-                                      degree_bound=args.bound)
-        basis = homogeneous_space_odd_basis(args.family, args.n, args.r, p)
-    except (TorsionPrimeError, ValueError) as e:
-        raise CliError(str(e)) from None
+    table = homogeneous_space_tor(args.family, args.n, args.r, p,
+                                  degree_bound=args.bound)
+    basis = homogeneous_space_odd_basis(args.family, args.n, args.r, p)
     odd_names = [g.name for g in basis]
     if args.json:
         payload = table.to_json()
@@ -184,10 +178,7 @@ def cmd_obstruct(args) -> int:
     if args.shape == "scan":
         if args.q is None:
             raise CliError("scan needs --q")
-        try:
-            scan = divisibility_scan(args.q, p, args.n_max)
-        except ValueError as e:
-            raise CliError(str(e)) from None
+        scan = divisibility_scan(args.q, p, args.n_max)
         if args.json:
             _emit_json(scan.to_json())
         else:
@@ -208,8 +199,6 @@ def cmd_obstruct(args) -> int:
             query = SectionQuery("SO", args.n, p)
     except TorsionPrimeError as e:
         raise CliError(f"torsion prime: {e}") from None
-    except ValueError as e:
-        raise CliError(str(e)) from None
 
     oracle_report = None
     if args.oracle:
@@ -326,10 +315,7 @@ def main(argv: list[str] | None = None) -> int:
         _PARSER.error("obstruct needs --n")
     try:
         return args.func(args)
-    except CliError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 2
-    except (TorsionPrimeError, ValueError) as e:
+    except (CliError, ValueError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
 

@@ -85,8 +85,7 @@ def _power_on_monomial(p: int, i: int, exps: Exps) -> dict[Exps, int]:
     """
     factors = list(accumulate(exps))  # factors[k]: how many are c_1 .. c_{k+1}
     if not exps or factors[-1] == 1:
-        return {e: c % p for e, c in reduced_power_on_elementary(p, i, len(exps)).items()
-                if c % p}
+        return reduced_power_on_elementary(p, i, len(exps))
     h = factors[-1] // 2  # u is the first h factors
     k = bisect_left(factors, h)  # the h-th factor is c_{k+1}
     h -= factors[k - 1] if k else 0  # u's share of the c_{k+1}

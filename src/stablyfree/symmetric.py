@@ -1,22 +1,22 @@
-"""Symmetric polynomials in the monomial basis, and rewriting into the
-elementary symmetric basis.
+"""Symmetric functions over F_p, and rewriting into the elementary basis.
 
-A symmetric polynomial in n root variables is stored as a dict mapping
-partitions (descending tuples, no zeros) to integer coefficients, meaning
-the sum of c_lambda * m_lambda where m_lambda is the sum of all distinct
-monomials with exponent pattern lambda.  Coefficients live in Z; callers
-reduce mod p.  All products here are exact, so the elimination rewrite
-into elementary symmetric polynomials is fraction-free.
+A symmetric function is stored in the monomial basis as a dict mapping
+partitions (descending tuples, no zeros) to residues mod p, meaning the
+sum of c_lambda * m_lambda where m_lambda is the sum of all distinct
+monomials with exponent pattern lambda.
 
-For n at least the total degree, every coefficient produced is independent
-of n (the stable range); the total-power-operation seeds below are always
-computed in the stable range and cached.
+Everything is computed in the stable range: with at least as many roots
+as the total degree, no coefficient depends on the number of roots, so
+none is passed.  The rewrite into elementary symmetric functions is
+leading-term elimination, and the leading coefficient of every e-product
+is 1, so it divides by nothing: over F_p it gives the integral answer
+reduced mod p, which is all the Steenrod engine needs.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import takewhile
+from itertools import accumulate, takewhile
 from math import comb
 from operator import not_, sub
 
@@ -24,33 +24,20 @@ Partition = tuple[int, ...]
 MPoly = dict[Partition, int]
 
 
-def _blocks(lam: Partition, n: int) -> list[tuple[int, int]]:
-    """(value, multiplicity) blocks of lam padded with zeros to n entries,
-    values descending."""
-    blocks = [(v, lam.count(v)) for v in dict.fromkeys(lam)]
-    if n > len(lam):
-        blocks.append((0, n - len(lam)))
-    return blocks
+def mul_by_elementary(poly: MPoly, j: int, p: int) -> MPoly:
+    """Product of a monomial-basis symmetric function with e_j, mod p.
 
-
-def mul_by_elementary(poly: MPoly, j: int, n: int) -> MPoly:
-    """Product (in n variables) of a monomial-basis polynomial with e_j.
-
-    e_j raises j of the n entries of lam (padded with zeros) by one, k of
-    them in each block of equal entries.  The coefficient of m_kappa counts
-    the ways a fixed monomial x^kappa arises: for a block of value v, pick
+    e_j raises j entries of lam, padded with j zeros, by one, k of them in
+    each block of equal entries.  The coefficient of m_kappa counts the
+    ways a fixed monomial x^kappa arises: for a block of value v, pick
     which k of the entries of kappa equal to v + 1 were raised from it.
     """
-    if j == 0:
-        return dict(poly)
-    if j > n:
-        return {}
     out: MPoly = {}
     for lam, coeff in poly.items():
-        blocks = _blocks(lam, n)
-        room = [0] * (len(blocks) + 1)  # entries in blocks bi, bi + 1, ...
-        for bi in range(len(blocks) - 1, -1, -1):
-            room[bi] = room[bi + 1] + blocks[bi][1]
+        # (value, multiplicity) blocks, values descending
+        blocks = [(v, lam.count(v)) for v in dict.fromkeys(lam)] + [(0, j)]
+        # room[bi]: entries in blocks bi, bi + 1, ...
+        room = list(accumulate(count for _, count in reversed(blocks)))[::-1] + [0]
 
         def rec(bi: int, left: int, chosen: list[int]):
             if left == 0:
@@ -63,7 +50,7 @@ def mul_by_elementary(poly: MPoly, j: int, n: int) -> MPoly:
                 ways = 1
                 for (value, _), k in zip(blocks, chosen_full):
                     ways *= comb(kappa.count(value + 1), k)
-                out[kappa] = out.get(kappa, 0) + coeff * ways
+                out[kappa] = (out.get(kappa, 0) + coeff * ways) % p
                 return
             count = blocks[bi][1]
             for k in range(min(count, left), max(0, left - room[bi + 1]) - 1, -1):
@@ -78,62 +65,54 @@ def _trimmed(exps: tuple[int, ...]) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def elementary_monomial_expansion(exps: tuple[int, ...], n: int) -> MPoly:
-    """Expansion of prod_i e_i^{exps[i-1]} in the monomial basis, n variables.
+def elementary_monomial_expansion(exps: tuple[int, ...], p: int) -> MPoly:
+    """Expansion of prod_i e_i^{exps[i-1]} in the monomial basis, mod p.
 
     Cached; callers must not mutate the returned dict.
     """
     if exps and not exps[-1]:
-        return elementary_monomial_expansion(_trimmed(exps), n)
+        return elementary_monomial_expansion(_trimmed(exps), p)
     if not exps:
         return {(): 1}
     reduced = _trimmed(exps[:-1] + (exps[-1] - 1,))
-    return mul_by_elementary(elementary_monomial_expansion(reduced, n), len(exps), n)
+    return mul_by_elementary(elementary_monomial_expansion(reduced, p), len(exps), p)
 
 
-def to_elementary_basis(poly: MPoly, n: int) -> dict[tuple[int, ...], int]:
-    """Rewrite a symmetric polynomial as a polynomial in e_1, ..., e_n.
+def to_elementary_basis(poly: MPoly, p: int) -> dict[tuple[int, ...], int]:
+    """Rewrite a symmetric function as a polynomial in e_1, e_2, ..., mod p.
 
     Classical leading-term elimination: the lex-leading monomial of the
     e-product matching the current leading partition has coefficient 1,
-    so the loop stays in Z and strictly decreases the leading term.
-    Returns exponent tuples (trailing zeros trimmed) -> coefficient.
+    so each step strictly lowers the leading term, and each partition is
+    the leading term at most once.  Returns exponent tuples (trailing
+    zeros trimmed) -> residue.
     """
-    work = {lam: c for lam, c in poly.items() if c}
-    for lam in work:
-        if len(lam) > n:
-            raise ValueError(f"partition {lam} needs more than {n} variables")
+    work = {lam: c % p for lam, c in poly.items() if c % p}
     out: dict[tuple[int, ...], int] = {}
     while work:
         lam = max(work)
-        coeff = work.pop(lam)
         e_exps = tuple(map(sub, lam, lam[1:] + (0,)))
-        out[e_exps] = out.get(e_exps, 0) + coeff
-        expansion = elementary_monomial_expansion(e_exps, n)
-        for mu, c in expansion.items():
+        coeff = out[e_exps] = work.pop(lam)
+        for mu, c in elementary_monomial_expansion(e_exps, p).items():
             if mu == lam:
                 continue
-            val = work.get(mu, 0) - coeff * c
+            val = (work.get(mu, 0) - coeff * c) % p
             if val:
                 work[mu] = val
             else:
                 work.pop(mu, None)
-    return {k: v for k, v in out.items() if v}
+    return out
 
 
 @lru_cache(maxsize=None)
 def reduced_power_on_elementary(p: int, i: int, j: int) -> dict[tuple[int, ...], int]:
-    """The i-th reduced power of e_j, as a Z-polynomial in e_1, e_2, ...
+    """P^i(e_j) as a polynomial in e_1, e_2, ..., mod p.
 
     On a weight-one root t the total operation is t + t^p; multiplicativity
     makes the weight-(j + i(p-1)) component of its action on e_j equal to
     the monomial symmetric function with i parts p and j - i parts 1.
-    Computed in the stable range, so the answer is valid in any number of
-    variables >= j + i(p-1).  Cached; do not mutate the result.
+    Cached; do not mutate the result.
     """
     if i > j:
         return {}
-    if j == 0:
-        return {(): 1}
-    lam = (p,) * i + (1,) * (j - i)
-    return to_elementary_basis({lam: 1}, j + i * (p - 1) + 1)
+    return to_elementary_basis({(p,) * i + (1,) * (j - i): 1}, p)

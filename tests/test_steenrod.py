@@ -174,7 +174,7 @@ def test_oracle_agreement_on_products(p):
             assert mine == oracle, (p, i, exps)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_oracle_agreement_through_target_weight_12(p):
     # every monomial of weight <= 6 in c1..c6, every P^i landing in weight
     # <= 12; i runs down first and then up, each time from an empty cache,
@@ -194,6 +194,15 @@ def test_oracle_agreement_through_target_weight_12(p):
             for i in (reversed(ops) if descending else ops):
                 mine = _as_exponent_map(apply_P_polynomial(i, x, prime))
                 assert mine == wanted[i], (p, i, exps, descending)
+
+
+@pytest.mark.parametrize("p, j", [(23, 1), (11, 2), (7, 3), (5, 4)])
+def test_top_power_of_a_generator_is_its_pth_power(p, j):
+    # P^j(c_j) = c_j^p is one term mod p, while m_(p^j) rewritten over Z
+    # reaches every partition of the target weight
+    prime = Prime(p)
+    c = polynomial_algebra(prime, j).gen(f"c{j}")
+    assert apply_P_polynomial(j, c, prime) == c ** p
 
 
 def test_unstable_operation_is_zero_in_a_small_ambient():
