@@ -8,7 +8,7 @@ from .algebra import (AlgebraPresentation, Bidegree, Element, GeneratorSpec,
 from .koszul import (KoszulComplex, TorTable, build_koszul,
                      homogeneous_space_odd_basis, homogeneous_space_tor,
                      koszul_homology)
-from .modp import Fp, Prime, binom_mod_p, exponent_n, raynaud_number
+from .modp import Prime, binom_mod_p, exponent_n, raynaud_number
 from .models import GroupModel, TorsionPrimeError
 from .obstruction import (DivisibilityScan, ObstructionReport, SectionQuery,
                           Witness, check_cohomological, check_gl_quotient,
@@ -17,7 +17,7 @@ from .steenrod import (SteenrodContext, apply_P_polynomial, apply_P_primitive,
                        decomposable_quotient, verify_axiom)
 
 __all__ = [
-    "AlgebraPresentation", "Bidegree", "DivisibilityScan", "Element", "Fp",
+    "AlgebraPresentation", "Bidegree", "DivisibilityScan", "Element",
     "GeneratorSpec", "GroupModel", "INHOMOGENEOUS", "KoszulComplex",
     "Monomial", "ObstructionReport", "Prime", "SectionQuery",
     "SteenrodContext", "TorTable", "TorsionPrimeError", "Witness",

@@ -18,7 +18,7 @@ from .algebra import Element, polynomial_algebra
 from .koszul import homogeneous_space_odd_basis, homogeneous_space_tor
 from .modp import Prime, is_prime
 from .models import GroupModel, TorsionPrimeError, model_from_matrix_size
-from .obstruction import (SectionQuery, check_cohomological, check_gl_quotient,
+from .obstruction import (check_cohomological, check_gl_quotient,
                           check_orthogonal, check_symplectic, divisibility_scan)
 from .steenrod import (AXIOMS, SteenrodContext, apply_P_polynomial,
                        apply_P_primitive, verify_axiom)
@@ -138,7 +138,7 @@ def cmd_steenrod(args) -> int:
         source = args.class_name
     else:
         x = parse_polynomial(args.poly, p)
-        result = apply_P_polynomial(args.op, x, p, roots=args.roots)
+        result = apply_P_polynomial(args.op, x, p)
         source = x.render()
     if args.json:
         _emit_json({"p": p.value, "operation": args.op, "input": source,
@@ -190,19 +190,16 @@ def cmd_obstruct(args) -> int:
             if args.a is None or args.b is None:
                 raise CliError("gl needs --a and --b")
             report = check_gl_quotient(args.n, args.a, args.b, p)
-            query = SectionQuery("GL", args.n, p, args.a, args.b)
         elif args.shape == "sp":
             report = check_symplectic(args.n, p)
-            query = SectionQuery("Sp", args.n, p)
         else:
             report = check_orthogonal(args.n, p)
-            query = SectionQuery("SO", args.n, p)
     except TorsionPrimeError as e:
         raise CliError(f"torsion prime: {e}") from None
 
     oracle_report = None
     if args.oracle:
-        oracle_report = check_cohomological(query)
+        oracle_report = check_cohomological(report.query)
         if (oracle_report.verdict != report.verdict
                 or oracle_report.witnesses != report.witnesses):
             sys.stderr.write("engine disagreement between combinatorial and "
@@ -262,8 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="odd generator aJ of the group model")
     s.add_argument("--poly", help="polynomial in Chern classes, e.g. 'c1^2*c2 + c3'")
     s.add_argument("--op", type=int, required=True, help="operation index i")
-    s.add_argument("--roots", type=int,
-                   help="number of Chern roots (must cover the target weight)")
     s.add_argument("--json", action="store_true")
     s.set_defaults(func=cmd_steenrod)
 

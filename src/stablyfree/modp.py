@@ -47,80 +47,9 @@ class Prime:
         return str(self.value)
 
 
-@dataclass(frozen=True, slots=True)
-class Fp:
-    """A fully reduced residue modulo a prime."""
-
-    residue: int
-    modulus: Prime
-
-    def __post_init__(self):
-        object.__setattr__(self, "residue", self.residue % self.modulus.value)
-
-    @property
-    def p(self) -> int:
-        return self.modulus.value
-
-    def _coerce(self, other) -> "Fp":
-        if isinstance(other, Fp):
-            if other.modulus != self.modulus:
-                raise ValueError(f"modulus mismatch: {self.p} vs {other.p}")
-            return other
-        if isinstance(other, int):
-            return Fp(other, self.modulus)
-        return NotImplemented
-
-    def __add__(self, other) -> "Fp":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Fp(self.residue + other.residue, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "Fp":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Fp(self.residue - other.residue, self.modulus)
-
-    def __rsub__(self, other) -> "Fp":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Fp(other.residue - self.residue, self.modulus)
-
-    def __mul__(self, other) -> "Fp":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Fp(self.residue * other.residue, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Fp":
-        return Fp(-self.residue, self.modulus)
-
-    def inverse(self) -> "Fp":
-        if self.residue == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return Fp(pow(self.residue, self.p - 2, self.p), self.modulus)
-
-    def __bool__(self) -> bool:
-        return self.residue != 0
-
-    def __int__(self) -> int:
-        return self.residue
-
-    def __index__(self) -> int:
-        return self.residue
-
-    def __str__(self) -> str:
-        return str(self.residue)
-
-
-def binom_mod_p(n: int, k: int, p: Prime) -> Fp:
-    """C(n, k) mod p, computed digit by digit in base p (Lucas).
+def binom_mod_p(n: int, k: int, p: Prime) -> int:
+    """C(n, k) mod p as a residue in [0, p), computed digit by digit in
+    base p (Lucas).
 
     Returns 0 whenever k > n; C(n, 0) = 1 for every n >= 0.
     """
@@ -131,7 +60,7 @@ def binom_mod_p(n: int, k: int, p: Prime) -> Fp:
     while k > 0 or n > 0:
         nd, kd = n % pv, k % pv
         if kd > nd:
-            return Fp(0, p)
+            return 0
         num = den = 1
         for t in range(kd):
             num = num * (nd - t) % pv
@@ -139,7 +68,7 @@ def binom_mod_p(n: int, k: int, p: Prime) -> Fp:
         acc = acc * num * pow(den, pv - 2, pv) % pv
         n //= pv
         k //= pv
-    return Fp(acc, p)
+    return acc
 
 
 def exponent_n(p: Prime, q: int) -> int:

@@ -14,10 +14,10 @@ one-sided, and reports say so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .koszul import homogeneous_space_odd_basis
-from .modp import Fp, Prime, binom_mod_p, exponent_n, raynaud_number
+from .modp import Prime, binom_mod_p, exponent_n, raynaud_number
 from .models import GroupModel
 from .steenrod import SteenrodContext, apply_P_primitive
 
@@ -61,12 +61,13 @@ class SectionQuery:
 
 @dataclass(frozen=True, slots=True)
 class Witness:
-    """An operation P^op carrying killed generator a_source onto a
-    surviving generator with the given nonzero residue."""
+    """An operation P^op carrying killed generator a_source onto the
+    surviving generator a_target with the given nonzero residue mod p."""
 
     source: int
     op: int
-    residue: Fp
+    target: int
+    residue: int
 
     def __post_init__(self):
         if self.op < 1:
@@ -74,12 +75,8 @@ class Witness:
         if not self.residue:
             raise ValueError("witness residue must be nonzero")
 
-    @property
-    def target(self) -> int:
-        return self.source + self.op * (self.residue.p - 1)
-
     def describe(self) -> str:
-        return (f"P^{self.op}(a{self.source}) = {int(self.residue)}*a{self.target}"
+        return (f"P^{self.op}(a{self.source}) = {self.residue}*a{self.target}"
                 f" survives in the target")
 
 
@@ -122,11 +119,7 @@ class ObstructionReport:
             },
             "method": self.method,
             "verdict": self.verdict,
-            "witnesses": [
-                {"source": w.source, "op": w.op,
-                 "target": w.target, "residue": int(w.residue)}
-                for w in self.witnesses
-            ],
+            "witnesses": [asdict(w) for w in self.witnesses],
             "extrapolated": self.extrapolated,
         }
 
@@ -152,7 +145,7 @@ def _witness_scan(sources: range, targets: range, p: Prime) -> tuple[Witness, ..
         for i in range(first, (targets.stop - 1 - m) // step + 1):
             residue = binom_mod_p(m - 1, i, p)
             if residue:
-                witnesses.append(Witness(m, i, residue))
+                witnesses.append(Witness(m, i, m + i * step, residue))
     return tuple(witnesses)
 
 
@@ -212,7 +205,7 @@ def check_cohomological(query: SectionQuery) -> ObstructionReport:
             for mono, coeff in image.terms.items():
                 t = image.algebra.generators[mono.odd[0]].bidegree.weight
                 if t in target_idx:
-                    witnesses.append(Witness(j, i, Fp(coeff, p)))
+                    witnesses.append(Witness(j, i, t, coeff))
             i += 1
     return ObstructionReport(query, tuple(witnesses), "cohomological",
                              _is_extrapolated(query))

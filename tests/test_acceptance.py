@@ -148,7 +148,7 @@ def test_criterion_8_divisibility_pattern():
 
 CLI_COMMANDS = [
     ["steenrod", "-p", "3", "--group", "Sp:4", "--class", "a2", "--op", "1"],
-    ["steenrod", "-p", "2", "--poly", "c2", "--op", "1", "--roots", "3"],
+    ["steenrod", "-p", "2", "--poly", "c2", "--op", "1"],
     ["steenrod", "-p", "5", "--group", "GL:6", "--class", "a3", "--op", "0"],
     ["steenrod", "-p", "2", "--poly", "c1^2*c2 + c4", "--op", "2", "--json"],
     ["tor", "--family", "GL", "--n", "5", "--r", "2", "--p", "3"],

@@ -64,19 +64,23 @@ def test_steenrod_group_class():
 
 
 def test_steenrod_poly():
-    code, out, _ = run_cli("steenrod", "-p", "2", "--poly", "c2",
-                           "--op", "1", "--roots", "3")
+    code, out, _ = run_cli("steenrod", "-p", "2", "--poly", "c2", "--op", "1")
     assert code == 0 and out == "c1*c2 + c3\n"
 
 
-def test_steenrod_roots_checked_only_against_stable_components():
-    # P^20000(c1) = 0 by instability, in any number of roots
+def test_steenrod_unstable_power_is_zero():
+    # P^20000(c1) = 0 by instability
     code, out, _ = run_cli("steenrod", "-p", "2", "--poly", "c1",
-                           "--op", "20000", "--roots", "5")
+                           "--op", "20000")
     assert code == 0 and out == "0\n"
-    code, _, err = run_cli("steenrod", "-p", "2", "--poly", "c1",
-                           "--op", "1", "--roots", "1")
-    assert code == 2 and "need at least 2" in err
+
+
+def test_steenrod_has_no_roots_option():
+    # the stable answer holds in any number of roots, so none is asked for
+    with pytest.raises(SystemExit) as exc, redirect_stderr(io.StringIO()):
+        main(["steenrod", "-p", "2", "--poly", "c2", "--op", "1",
+              "--roots", "3"])
+    assert exc.value.code == 2
 
 
 def test_steenrod_unit():
@@ -89,7 +93,6 @@ def test_steenrod_errors_exit_two():
     cases = [
         ("steenrod", "-p", "4", "--poly", "c1", "--op", "1"),      # not prime
         ("steenrod", "-p", "2", "--op", "1"),                      # no input
-        ("steenrod", "-p", "2", "--poly", "c2", "--op", "1", "--roots", "2"),
         ("steenrod", "-p", "2", "--group", "GL:3", "--class", "c1", "--op", "1"),
         ("steenrod", "-p", "2", "--group", "GL3", "--class", "a1", "--op", "1"),
     ]
@@ -197,6 +200,16 @@ def test_verify_examples():
 def test_verify_bad_axiom_exits_two():
     code, _, err = run_cli("verify", "--axiom", "bogus", "-p", "2", "--bound", "5")
     assert code == 2 and "unknown axiom" in err
+
+
+@pytest.mark.parametrize("extra, message", [
+    (("--bound", "-3"), "degree bound must be nonnegative"),
+    (("--bound", "5", "--gens", "0"), "need at least one generator in the test pool"),
+    (("--bound", "5", "--gens", "-1"), "need at least one generator in the test pool"),
+], ids=["bound-3", "gens0", "gens-1"])
+def test_verify_bad_sizes_exit_two(extra, message):
+    code, out, err = run_cli("verify", "--axiom", "unit", "-p", "2", *extra)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 # -- determinism --------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablyfree.modp import (Fp, Prime, binom_mod_p, exponent_n, is_prime,
+from stablyfree.modp import (Prime, binom_mod_p, exponent_n, is_prime,
                              primes_upto, raynaud_number)
 
 PRIMES = [Prime(p) for p in (2, 3, 5, 7)]
@@ -25,21 +25,6 @@ def test_primes_upto():
     assert all(is_prime(p) for p in primes_upto(200))
 
 
-def test_fp_arithmetic():
-    p = Prime(5)
-    a, b = Fp(3, p), Fp(4, p)
-    assert (a + b).residue == 2
-    assert (a - b).residue == 4
-    assert (a * b).residue == 2
-    assert (-a).residue == 2
-    assert (a * a.inverse()).residue == 1
-    assert int(Fp(12, p)) == 2
-    with pytest.raises(ValueError):
-        a + Fp(1, Prime(7))
-    with pytest.raises(ZeroDivisionError):
-        Fp(0, p).inverse()
-
-
 def test_binom_examples():
     assert int(binom_mod_p(1, 1, Prime(3))) == 1
     assert int(binom_mod_p(5, 0, Prime(7))) == 1
@@ -47,6 +32,12 @@ def test_binom_examples():
     # 10 mod 3, cross-checked against the base-3 digit product (12, 02)
     assert int(binom_mod_p(5, 2, Prime(3))) == 1
     assert int(binom_mod_p(3, 5, Prime(3))) == 0
+    # a plain int residue in [0, p)
+    for p in PRIMES:
+        for n in range(30):
+            for k in range(n + 2):
+                r = binom_mod_p(n, k, p)
+                assert type(r) is int and 0 <= r < p.value
 
 
 def test_binom_against_factorials_exhaustive_small():

@@ -1,6 +1,6 @@
 import pytest
 
-from stablyfree.modp import Fp, Prime, binom_mod_p, raynaud_number
+from stablyfree.modp import Prime, binom_mod_p, raynaud_number
 from stablyfree.models import TorsionPrimeError
 from stablyfree.obstruction import (NO_OBSTRUCTION_TEXT,
                                     SectionQuery, Witness, check_cohomological,
@@ -65,9 +65,12 @@ def test_witness_soundness():
 
 def test_witness_validation():
     with pytest.raises(ValueError):
-        Witness(2, 0, Fp(1, P2))
+        Witness(2, 0, 2, 1)
     with pytest.raises(ValueError):
-        Witness(2, 1, Fp(0, P2))
+        Witness(2, 1, 3, 0)
+    w = Witness(2, 1, 4, 1)  # P^1(a2) = a4 at p = 3
+    assert (w.source, w.op, w.target, w.residue) == (2, 1, 4, 1)
+    assert w.describe() == "P^1(a2) = 1*a4 survives in the target"
 
 
 def test_monotonicity_in_source_range():

@@ -96,14 +96,9 @@ def test_polynomial_rejects_odd_and_mismatched():
         apply_P_polynomial(1, lone_c2.gen("c2"), P3)
 
 
-def test_polynomial_roots_bound():
+def test_polynomial_P1_of_c2():
     A = polynomial_algebra(P2, 2)
-    c2 = A.gen("c2")
-    ok = apply_P_polynomial(1, c2, P2, roots=3)
-    assert ok.render() == "c1*c2 + c3"
-    assert apply_P_polynomial(1, c2, P2, roots=7) == ok  # stability
-    with pytest.raises(ValueError, match="roots"):
-        apply_P_polynomial(1, c2, P2, roots=2)
+    assert apply_P_polynomial(1, A.gen("c2"), P2).render() == "c1*c2 + c3"
 
 
 def test_weight_shift():

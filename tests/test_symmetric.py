@@ -103,3 +103,21 @@ def test_reduced_power_linear_coefficient_is_binomial():
                 linear = tuple([0] * (target - 1) + [1])
                 got = rewritten.get(linear, 0)
                 assert got == math.comb(j - 1, a) % p, (p, a, j)
+
+
+def test_reduced_power_seeds_have_at_most_p_factors():
+    # sum_{i,j} P^i(c_j) s^i t^j = prod_{l=1}^{p} C(t z_l), with C(T) the
+    # total Chern class and z_1 .. z_p the roots of
+    # z^p - z^(p-1) + (-1)^p s t^(1-p), so every term of P^i(c_j) is a
+    # product of at most p Chern classes
+    seeds = at_bound = 0
+    for p in (2, 3, 5, 7):
+        for j in range(1, 10):
+            for i in range(j + 1):
+                if j + i * (p - 1) > 16:
+                    continue
+                factors = [sum(e) for e in reduced_power_on_elementary(p, i, j)]
+                assert max(factors) <= p, (p, i, j)
+                seeds += 1
+                at_bound += max(factors) == p
+    assert (seeds, at_bound) == (140, 104)
