@@ -5,7 +5,8 @@ forced by the axioms: each generator is an elementary symmetric
 polynomial in weight-one roots, a root t maps to t + t^p, and the total
 operation is multiplicative.  So P^i of a monomial follows from the
 Cartan formula, recursing on halves of the monomial down to the cached
-images of single generators.  On the primitive odd generators of
+images P^a(c_j) of single generators, which `symmetric` reads off one
+generating function.  On the primitive odd generators of
 a group model the action is the closed-form binomial rule.  A
 verification harness checks the two engines against the defining axioms.
 """

@@ -1,118 +1,97 @@
-"""Symmetric functions over F_p, and rewriting into the elementary basis.
+"""Reduced powers of Chern classes, from one generating function.
 
-A symmetric function is stored in the monomial basis as a dict mapping
-partitions (descending tuples, no zeros) to residues mod p, meaning the
-sum of c_lambda * m_lambda where m_lambda is the sum of all distinct
-monomials with exponent pattern lambda.
+A weight-one root t maps to t + t^p under the total operation.  Let
+C(T) = sum_a c_a T^a be the total Chern class, and z_1 .. z_p the roots of
+z^p - z^(p-1) + (-1)^p s t^(1-p), so that e_1(z) = 1, e_p(z) = sigma =
+s t^(1-p) and every other e_k(z) = 0.  Then
 
-Everything is computed in the stable range: with at least as many roots
-as the total degree, no coefficient depends on the number of roots, so
-none is passed.  The rewrite into elementary symmetric functions is
-leading-term elimination, and the leading coefficient of every e-product
-is 1, so it divides by nothing: over F_p it gives the integral answer
-reduced mod p, which is all the Steenrod engine needs.
+    sum_{i,j} P^i(c_j) s^i t^j = prod_{l=1}^{p} C(t z_l),
+
+so P^i(c_j) is the sum of [sigma^i] m_J(z) * c_J over the partitions J
+of W = j + i(p-1) into at most p parts.  At p = 2 this is the Wu formula.
+
+Each m_J(z) is an augmented monomial function of z divided by the
+factorials of J's multiplicities, and the augmented ones are sums of
+products of power sums of z, which Girard-Waring gives in closed form.
+The arithmetic is over Z, on polynomials in sigma truncated at degree i,
+and is reduced mod p only at the end: multiplicities reach p (J = (j^p)
+gives P^j(c_j) = c_j^p), so dividing by them mod p would be wrong.
+
+Everything is in the stable range: with at least as many roots as the
+total degree, no coefficient depends on the number of roots, so none is
+passed.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
-from itertools import accumulate, takewhile
-from math import comb
-from operator import not_, sub
-
-Partition = tuple[int, ...]
-MPoly = dict[Partition, int]
+from math import comb, factorial, prod
 
 
-def mul_by_elementary(poly: MPoly, j: int, p: int) -> MPoly:
-    """Product of a monomial-basis symmetric function with e_j, mod p.
-
-    e_j raises j entries of lam, padded with j zeros, by one, k of them in
-    each block of equal entries.  The coefficient of m_kappa counts the
-    ways a fixed monomial x^kappa arises: for a block of value v, pick
-    which k of the entries of kappa equal to v + 1 were raised from it.
-    """
-    out: MPoly = {}
-    for lam, coeff in poly.items():
-        # (value, multiplicity) blocks, values descending
-        blocks = [(v, lam.count(v)) for v in dict.fromkeys(lam)] + [(0, j)]
-        # room[bi]: entries in blocks bi, bi + 1, ...
-        room = list(accumulate(count for _, count in reversed(blocks)))[::-1] + [0]
-
-        def rec(bi: int, left: int, chosen: list[int]):
-            if left == 0:
-                chosen_full = chosen + [0] * (len(blocks) - len(chosen))
-                entries: list[int] = []
-                for (value, count), k in zip(blocks, chosen_full):
-                    entries += [value + 1] * k + [value] * (count - k if value else 0)
-                # blocks descend, so the raised entries keep kappa descending
-                kappa = tuple(entries)
-                ways = 1
-                for (value, _), k in zip(blocks, chosen_full):
-                    ways *= comb(kappa.count(value + 1), k)
-                out[kappa] = (out.get(kappa, 0) + coeff * ways) % p
-                return
-            count = blocks[bi][1]
-            for k in range(min(count, left), max(0, left - room[bi + 1]) - 1, -1):
-                rec(bi + 1, left - k, chosen + [k])
-
-        rec(0, j, [])
-    return {k: v for k, v in out.items() if v}
-
-
-def _trimmed(exps: tuple[int, ...]) -> tuple[int, ...]:
-    return exps[:len(exps) - len(list(takewhile(not_, reversed(exps))))]
-
-
-@lru_cache(maxsize=None)
-def elementary_monomial_expansion(exps: tuple[int, ...], p: int) -> MPoly:
-    """Expansion of prod_i e_i^{exps[i-1]} in the monomial basis, mod p.
-
-    Cached; callers must not mutate the returned dict.
-    """
-    if exps and not exps[-1]:
-        return elementary_monomial_expansion(_trimmed(exps), p)
-    if not exps:
-        return {(): 1}
-    reduced = _trimmed(exps[:-1] + (exps[-1] - 1,))
-    return mul_by_elementary(elementary_monomial_expansion(reduced, p), len(exps), p)
-
-
-def to_elementary_basis(poly: MPoly, p: int) -> dict[tuple[int, ...], int]:
-    """Rewrite a symmetric function as a polynomial in e_1, e_2, ..., mod p.
-
-    Classical leading-term elimination: the lex-leading monomial of the
-    e-product matching the current leading partition has coefficient 1,
-    so each step strictly lowers the leading term, and each partition is
-    the leading term at most once.  Returns exponent tuples (trailing
-    zeros trimmed) -> residue.
-    """
-    work = {lam: c % p for lam, c in poly.items() if c % p}
-    out: dict[tuple[int, ...], int] = {}
-    while work:
-        lam = max(work)
-        e_exps = tuple(map(sub, lam, lam[1:] + (0,)))
-        coeff = out[e_exps] = work.pop(lam)
-        for mu, c in elementary_monomial_expansion(e_exps, p).items():
-            if mu == lam:
-                continue
-            val = (work.get(mu, 0) - coeff * c) % p
-            if val:
-                work[mu] = val
-            else:
-                work.pop(mu, None)
-    return out
+def _partitions(n: int, largest: int, parts: int):
+    """Partitions of n into at most `parts` parts of size at most
+    `largest`, as descending tuples."""
+    if not n:
+        yield ()
+    elif parts:
+        for first in range(min(n, largest), 0, -1):
+            for rest in _partitions(n - first, first, parts - 1):
+                yield (first,) + rest
 
 
 @lru_cache(maxsize=None)
 def reduced_power_on_elementary(p: int, i: int, j: int) -> dict[tuple[int, ...], int]:
-    """P^i(e_j) as a polynomial in e_1, e_2, ..., mod p.
-
-    On a weight-one root t the total operation is t + t^p; multiplicativity
-    makes the weight-(j + i(p-1)) component of its action on e_j equal to
-    the monomial symmetric function with i parts p and j - i parts 1.
-    Cached; do not mutate the result.
-    """
+    """P^i(c_j) as {exps: residue mod p}, where exps[k-1] is the exponent
+    of c_k (no trailing zeros).  Cached; do not mutate the result."""
     if i > j:
         return {}
-    return to_elementary_basis({(p,) * i + (1,) * (j - i): 1}, p)
+    if not j:
+        return {(): 1}
+    weight = j + i * (p - 1)
+
+    # a polynomial in sigma is its coefficient list, cut after degree i and
+    # after its true degree, which is at most the weight over p
+    def power_sum(k: int) -> list[int]:
+        # Girard-Waring: [sigma^m] P_k(z) = (-1)^(m(p-1)) k/n C(n, m), n = k - (p-1)m
+        out = []
+        for m in range(min(i, k // p) + 1):
+            n = k - (p - 1) * m
+            out.append((-1) ** (m * (p - 1)) * k * comb(n, m) // n)
+        return out
+
+    augmented: dict[tuple[int, ...], list[int]] = {(): [1]}
+
+    def augmented_monomial(lam: tuple[int, ...]) -> list[int]:
+        # sum of z_{a_1}^lam_1 z_{a_2}^lam_2 ... over distinct a_1, a_2, ...:
+        # P_{lam_1} times the sum for the rest, less the terms with a_1 equal
+        # to some a_k, where lam_1 merges into lam_k (which keeps the merged
+        # part first and the tuple descending)
+        if lam not in augmented:
+            first, rest = lam[0], lam[1:]
+            out = [0] * (min(i, sum(lam) // p) + 1)
+            tail = augmented_monomial(rest)
+            for a, x in enumerate(power_sum(first)):
+                for b, y in enumerate(tail[:len(out) - a]):
+                    out[a + b] += x * y
+            for k in range(len(rest)):
+                merged = augmented_monomial((first + rest[k],) + rest[:k] + rest[k + 1:])
+                for d, y in enumerate(merged):
+                    out[d] -= y
+            augmented[lam] = out
+        return augmented[lam]
+
+    # in the Chern roots P^i(c_j) is m_(p^i, 1^(j-i)), which expands only
+    # into the c_J with J dominating its conjugate (j, i^(p-1)); so J_1 >= j
+    out: dict[tuple[int, ...], int] = {}
+    for first in range(j, weight + 1):
+        for rest in _partitions(weight - first, first, p - 1):
+            parts = (first,) + rest
+            mults = Counter(parts)
+            coeff = augmented_monomial(parts)[i] // prod(map(factorial, mults.values()))
+            if coeff % p:
+                exps = [0] * first
+                for k, m in mults.items():
+                    exps[k - 1] = m
+                out[tuple(exps)] = coeff % p
+    return out

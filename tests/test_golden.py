@@ -2,7 +2,8 @@
 
 Each case below renders a piece of user-visible output (axiom identities,
 CLI stdout in text and JSON) and is compared by sha256 digest with the
-output recorded before monomials became positional.  A refactor that
+output recorded before monomials became positional (for P^3(c6) at
+p = 7, before seeds came from a generating function).  A refactor that
 changes a rendered term, an ordering or a JSON payload fails here; a
 deliberate output change must re-record the digest and say why.
 """
@@ -53,6 +54,7 @@ CASES = {
     "steenrod p=5 c2 op=2": lambda: _steenrod(5, "c2", 2),
     "steenrod p=7 c3 op=1": lambda: _steenrod(7, "c3", 1),
     "steenrod p=7 4*c1*c2 op=2": lambda: _steenrod(7, "4*c1*c2", 2),
+    "steenrod p=7 c6 op=3": lambda: _steenrod(7, "c6", 3),
     "steenrod p=3 Sp:6 a2 op=1": lambda: _cli(
         "steenrod", "-p", "3", "--group", "Sp:6", "--class", "a2", "--op", "1",
         "--json"),
@@ -133,6 +135,8 @@ DIGESTS = {
         '8b90ed21dc70a8ee04b20aad5687f8107eade15ca36d6c112c9103d3be6eaa1c',
     'steenrod p=7 c3 op=1':
         '2344d9b08f1dd9eeaf635debf86ee917a3463663eaa9fcaeb1d36fb1db69ec2b',
+    'steenrod p=7 c6 op=3':
+        '19208a051b292ff8da788b3f145dbf79d80cba8ed6eda35eef9e640919f067be',
     'tor GL n=4 r=1 p=2':
         '6846ca61bb9691f0ba911e8fab8de4b3720faac0392d018bf90b02b365e41053',
     'tor GL n=5 r=2 p=3 json':

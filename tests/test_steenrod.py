@@ -200,6 +200,20 @@ def test_top_power_of_a_generator_is_its_pth_power(p, j):
     assert apply_P_polynomial(j, c, prime) == c ** p
 
 
+def test_iterated_P1_is_a_factorial_times_the_seed():
+    # the Adem relation P^1 P^(i-1) = i P^i gives (P^1)^i = i! P^i for
+    # i < p; the left side needs only P^1 seeds and the Cartan recursion,
+    # so at p = 7 this checks the large seeds P^3(c6) (610 terms), P^2(c7)
+    # (186) and P^6(c7) (8946)
+    p = Prime(7)
+    for j in range(1, 8):
+        c = polynomial_algebra(p, j).gen(f"c{j}")
+        iterated = c
+        for i in range(1, p.value):
+            iterated = apply_P_polynomial(1, iterated, p)
+            assert iterated == apply_P_polynomial(i, c, p) * math.factorial(i), (i, j)
+
+
 def test_unstable_operation_is_zero_in_a_small_ambient():
     # P^i(x) = 0 for i above the weight of x: no ambient is sized for the
     # (never computed) target weight

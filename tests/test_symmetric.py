@@ -3,10 +3,10 @@ from itertools import combinations, permutations
 
 import pytest
 
-from stablyfree.symmetric import (elementary_monomial_expansion,
-                                  mul_by_elementary,
-                                  reduced_power_on_elementary,
-                                  to_elementary_basis)
+import symmetric_oracle
+from stablyfree.symmetric import reduced_power_on_elementary
+from symmetric_oracle import (elementary_monomial_expansion, mul_by_elementary,
+                              to_elementary_basis)
 
 
 def dense_from_mbasis(poly, n):
@@ -73,6 +73,22 @@ def test_rewrite_classical_identities():
     assert to_elementary_basis({(1, 1): 1}, 101) == {(0, 1): 1}
     # m_{(2,1)} = e1 e2 - 3 e3
     assert to_elementary_basis({(2, 1): 1}, 101) == {(1, 1): 1, (0, 0, 1): 98}
+
+
+def test_seeds_match_the_elimination_oracle():
+    # the generating function against leading-term elimination, which
+    # shares no code with it, on every seed up to target weight 18
+    seeds = at_least_p = 0
+    for p in (2, 3, 5, 7, 11):
+        for j in range(1, 11):
+            for i in range(j + 1):
+                if j + i * (p - 1) > 18:
+                    continue
+                want = symmetric_oracle.reduced_power_on_elementary(p, i, j)
+                assert reduced_power_on_elementary(p, i, j) == want, (p, i, j)
+                seeds += 1
+                at_least_p += i >= p
+    assert (seeds, at_least_p) == (188, 63)
 
 
 def test_reduced_power_seeds():
