@@ -106,6 +106,28 @@ def _power_on_monomial(p: int, i: int, exps: Exps) -> dict[Exps, int]:
     return {e: c % p for e, c in out.items() if c % p}
 
 
+def _combine(p: int, parts) -> dict[Exps, int]:
+    """Sum of coeff * terms over the (coeff, terms) pairs of `parts`, as a
+    new {exps: residue mod p} without zero residues."""
+    out: dict[Exps, int] = {}
+    for coeff, terms in parts:
+        for e, c in terms.items():
+            out[e] = out.get(e, 0) + coeff * c
+    return {e: r for e, c in out.items() if (r := c % p)}
+
+
+def _apply_raw(p: int, i: int, terms: dict[Exps, int]) -> dict[Exps, int]:
+    """P^i on a polynomial in c_1, c_2, ... given as {exps: coeff}, as a
+    new {exps: residue mod p}; instability drops terms of weight below i."""
+    return _combine(p, ((coeff, _power_on_monomial(p, i, exps))
+                        for exps, coeff in terms.items() if i <= _weight(exps)))
+
+
+def _terms(x: Element) -> dict[Exps, int]:
+    """The {exps: residue} form of an element of a polynomial algebra."""
+    return {m.even: c for m, c in x.terms.items()}
+
+
 def apply_P_polynomial(i: int, x: Element, p: Prime) -> Element:
     """P^i on an element of a polynomial algebra in c_1, c_2, ...
 
@@ -123,17 +145,13 @@ def apply_P_polynomial(i: int, x: Element, p: Prime) -> Element:
     if x.algebra != polynomial_algebra(p, len(x.algebra.generators)):
         raise ValueError("expected an element of a polynomial algebra in c1, c2, ...")
 
-    # instability: P^i vanishes on classes of weight below i
-    terms = [(mono.even, coeff) for mono, coeff in x.terms.items()
-             if i <= _weight(mono.even)]
     pv = p.value
-    result: dict[Exps, int] = {}
-    for exps, coeff in terms:
-        for e, c in _power_on_monomial(pv, i, exps).items():
-            result[e] = (result.get(e, 0) + coeff * c) % pv
+    terms = _terms(x)
+    result = _apply_raw(pv, i, terms)
     # P^a(c_k) involves c_1 .. c_{k + a(p-1)} only, so by the Cartan formula
-    # the image of a monomial needs no index above its largest one plus i(p-1)
-    size = max([len(exps) + i * (pv - 1) for exps, _ in terms] + [1])
+    # the image of a monomial needs no index above its largest one plus
+    # i(p-1); monomials of weight below i contribute nothing
+    size = max([len(e) + i * (pv - 1) for e in terms if i <= _weight(e)] + [1])
     return polynomial_algebra(p, size).from_terms(
         {Monomial(e, ()): c for e, c in result.items()})
 
@@ -154,10 +172,28 @@ AXIOMS = ("unit", "pth_power", "instability", "cartan", "adem")
 
 @dataclass(slots=True)
 class AxiomCheck:
+    """One identity lhs = rhs between polynomials in c_1, c_2, ..., each
+    side kept as {exps: residue mod p} and rendered only when read."""
+
     description: str
-    lhs: str
-    rhs: str
+    p: int
+    lhs_terms: dict[Exps, int]
+    rhs_terms: dict[Exps, int]
     passed: bool
+
+    @property
+    def lhs(self) -> str:
+        return _render(self.p, self.lhs_terms)
+
+    @property
+    def rhs(self) -> str:
+        return _render(self.p, self.rhs_terms)
+
+
+def _render(p: int, terms: dict[Exps, int]) -> str:
+    size = max(map(len, terms), default=0)
+    return polynomial_algebra(Prime(p), size).from_terms(
+        {Monomial(e, ()): c for e, c in terms.items()}).render()
 
 
 @dataclass(slots=True)
@@ -174,9 +210,8 @@ class AxiomReport:
     def failures(self) -> list[AxiomCheck]:
         return [c for c in self.checks if not c.passed]
 
-    def record(self, description: str, lhs: Element, rhs: Element):
-        self.checks.append(AxiomCheck(description, lhs.render(), rhs.render(),
-                                      lhs == rhs))
+    def record(self, description: str, lhs: dict[Exps, int], rhs: dict[Exps, int]):
+        self.checks.append(AxiomCheck(description, self.p, lhs, rhs, lhs == rhs))
 
     def summary(self) -> str:
         status = "ok" if self.passed else "FAILED"
@@ -234,6 +269,23 @@ def _test_classes(p: Prime, degree_bound: int,
     return pool
 
 
+def _composer(p: int, terms: dict[Exps, int]):
+    """The map (a, b) -> P^a(P^b(x)) for the x given by `terms`.  Each
+    P^b(x) and each composite is computed once and kept only as long as
+    the returned function."""
+    powers: dict[int, dict[Exps, int]] = {}
+    composites: dict[tuple[int, int], dict[Exps, int]] = {}
+
+    def composite(a: int, b: int) -> dict[Exps, int]:
+        if (a, b) not in composites:
+            if b not in powers:
+                powers[b] = _apply_raw(p, b, terms)
+            composites[a, b] = _apply_raw(p, a, powers[b])
+        return composites[a, b]
+
+    return composite
+
+
 def verify_axiom(axiom: str, p: Prime, degree_bound: int,
                  n_generators: int = 5) -> AxiomReport:
     """Exhaustively check one defining property on a deterministic pool of
@@ -250,22 +302,24 @@ def verify_axiom(axiom: str, p: Prime, degree_bound: int,
 
     if axiom == "unit":
         for name, x in pool:
-            report.record(f"P^0({name}) = {name}", apply_P_polynomial(0, x, p), x)
+            terms = _terms(x)
+            report.record(f"P^0({name}) = {name}", _apply_raw(pv, 0, terms), terms)
 
     elif axiom == "pth_power":
         for name, x in pool:
             w = bidegree_of(x).weight
             if w * pv <= degree_bound:
                 report.record(f"P^{w}({name}) = ({name})^{pv}",
-                              apply_P_polynomial(w, x, p), x ** pv)
+                              _apply_raw(pv, w, _terms(x)), _terms(x ** pv))
 
     elif axiom == "instability":
         for name, x in pool:
             w = bidegree_of(x).weight
+            terms = _terms(x)
             n = w + 1
             while w + n * (pv - 1) <= degree_bound:
                 report.record(f"P^{n}({name}) = 0 (weight {w} < {n})",
-                              apply_P_polynomial(n, x, p), x.algebra.zero())
+                              _apply_raw(pv, n, terms), {})
                 n += 1
 
     elif axiom == "cartan":
@@ -280,32 +334,29 @@ def verify_axiom(axiom: str, p: Prime, degree_bound: int,
             if xy.is_zero():
                 continue
             w = bidegree_of(xy).weight
+            terms = _terms(xy)
             n = 0
             while w + n * (pv - 1) <= degree_bound:
-                lhs = apply_P_polynomial(n, xy, p)
                 parts = [apply_P_polynomial(j, x, p) * apply_P_polynomial(n - j, y, p)
                          for j in range(n + 1)]
                 rhs = sum(parts[1:], parts[0])
                 report.record(f"P^{n}(({name_x})*({name_y})) = sum of products",
-                              lhs, rhs)
+                              _apply_raw(pv, n, terms), _terms(rhs))
                 n += 1
 
     elif axiom == "adem":
         for name, x in pool:
-            w = bidegree_of(x).weight
-            for b in range(1, degree_bound + 1):
-                for a in range(0, pv * b):
-                    if w + (a + b) * (pv - 1) > degree_bound:
-                        continue
-                    lhs = apply_P_polynomial(a, apply_P_polynomial(b, x, p), p)
+            composite = _composer(pv, _terms(x))
+            # the pairs with w + (a + b)(p - 1) <= bound, and a < pb
+            top = (degree_bound - bidegree_of(x).weight) // (pv - 1)
+            for b in range(1, top + 1):
+                for a in range(min(pv * b, top - b + 1)):
                     parts = []
                     for t in range(a // pv + 1):
                         c = binom_mod_p((pv - 1) * (b - t) - 1, a - pv * t, p)
                         coeff = -c % pv if (a + t) % 2 else c
-                        if not coeff:
-                            continue
-                        inner = apply_P_polynomial(t, x, p)
-                        parts.append(apply_P_polynomial(a + b - t, inner, p) * coeff)
-                    rhs = sum(parts[1:], parts[0]) if parts else lhs.algebra.zero()
-                    report.record(f"P^{a}P^{b}({name}) = Adem sum", lhs, rhs)
+                        if coeff:
+                            parts.append((coeff, composite(a + b - t, t)))
+                    report.record(f"P^{a}P^{b}({name}) = Adem sum",
+                                  composite(a, b), _combine(pv, parts))
     return report

@@ -202,6 +202,33 @@ def test_verify_bad_axiom_exits_two():
     assert code == 2 and "unknown axiom" in err
 
 
+@pytest.mark.parametrize("axiom, known", [
+    ("adem", ("P^1P^1(c2) = Adem sum", "2*c2^3", "c2^3")),
+    ("cartan", ("P^0((c2)*(c3)) = sum of products", "c2*c3", "2*c2*c3")),
+])
+def test_verify_reports_failures(planted_seed, axiom, known):
+    argv = ("verify", "--axiom", axiom, "-p", "3", "--bound", "10")
+    code, out, err = run_cli(*argv)
+    assert (code, err) == (1, "")
+    summary, *lines = out.splitlines()
+    assert summary.endswith(" FAILED") and "failures=0" not in summary
+    assert lines and len(lines) % 3 == 0
+    text = []
+    for fail, lhs, rhs in zip(lines[::3], lines[1::3], lines[2::3]):
+        assert fail.startswith("FAIL ")
+        assert lhs.startswith("  lhs = ") and rhs.startswith("  rhs = ")
+        assert lhs[8:] != rhs[8:]
+        text.append((fail[5:], lhs[8:], rhs[8:]))
+    assert known in text
+    assert f"failures={len(text)} " in summary
+
+    code, out, err = run_cli(*argv, "--json")
+    assert (code, err) == (1, "")
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    assert [(f["identity"], f["lhs"], f["rhs"]) for f in payload["failures"]] == text
+
+
 @pytest.mark.parametrize("extra, message", [
     (("--bound", "-3"), "degree bound must be nonnegative"),
     (("--bound", "5", "--gens", "0"), "need at least one generator in the test pool"),

@@ -3,7 +3,9 @@
 Each case below renders a piece of user-visible output (axiom identities,
 CLI stdout in text and JSON) and is compared by sha256 digest with the
 output recorded before monomials became positional (for P^3(c6) at
-p = 7, before seeds came from a generating function).  A refactor that
+p = 7, before seeds came from a generating function; for the Adem
+identities at the bounds the benchmark runs, before the harness composed
+on exponent dicts).  A refactor that
 changes a rendered term, an ordering or a JSON payload fails here; a
 deliberate output change must re-record the digest and say why.
 """
@@ -40,6 +42,9 @@ CASES = {
     "axiom adem p=2 bound=14": lambda: _axiom("adem", 2, 14),
     "axiom adem p=3 bound=14": lambda: _axiom("adem", 3, 14),
     "axiom adem p=5 bound=13": lambda: _axiom("adem", 5, 13),
+    "axiom adem p=2 bound=16": lambda: _axiom("adem", 2, 16),
+    "axiom adem p=3 bound=15": lambda: _axiom("adem", 3, 15),
+    "axiom adem p=2 bound=18": lambda: _axiom("adem", 2, 18),
     "axiom cartan p=2 bound=10": lambda: _axiom("cartan", 2, 10),
     "axiom cartan p=3 bound=10": lambda: _axiom("cartan", 3, 10),
     "axiom cartan p=5 bound=12": lambda: _axiom("cartan", 5, 12),
@@ -93,6 +98,12 @@ DIGESTS = {
         'd11b3e307bf39c9b1f03f7ce0dd6ca45908a5e3306855b5e2a04a4ddf80ecbae',
     'axiom adem p=5 bound=13':
         '14cd7cc68c608f107326b4599b3860c931e177d06ccd4ef47050b838d7adb809',
+    'axiom adem p=2 bound=16':
+        '58911fc172f8dbf9a328e2ed1e33522204942efe1de5d397f97a835a1947e238',
+    'axiom adem p=3 bound=15':
+        '63c5739ee8b34b26c332704ad51b214741eaeb7177a30188dd9c63b23bc63cc8',
+    'axiom adem p=2 bound=18':
+        'fae6f40f8f44a068ae7ebd343af49e42050ef2b678df6e9a2672aaa2e35ab3ab',
     'axiom cartan p=2 bound=10':
         'e38ccbaaefd9f9c2e9fac4f9550bfd76b36b680be9e99e02e33fef0a5904cdcd',
     'axiom cartan p=3 bound=10':

@@ -58,3 +58,11 @@ def test_obstruct_payloads():
 def test_verify_payloads():
     validate(cli_json("verify", "--axiom", "pth_power", "-p", "3",
                       "--bound", "9", "--json"), "axiom_report")
+
+
+@pytest.mark.parametrize("axiom", ["adem", "cartan"])
+def test_verify_failure_payloads(planted_seed, axiom):
+    payload = cli_json("verify", "--axiom", axiom, "-p", "3", "--bound", "10",
+                       "--json")
+    assert payload["failures"]
+    validate(payload, "axiom_report")

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -12,6 +13,7 @@ from stablyfree.steenrod import (SteenrodContext, apply_P_polynomial,
                                  apply_P_primitive, decomposable_quotient,
                                  verify_axiom)
 from steenrod_oracle import brute_force_reduced_power, chern_monomials_of_weight
+from test_golden import DIGESTS, _axiom
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
 
@@ -327,6 +329,30 @@ def test_adem_p3_bound_20():
     report = verify_axiom("adem", P3, 20)
     assert len(report.checks) == 701
     assert report.passed, report.failures()[:3]
+
+
+def test_report_values_do_not_alias_module_caches():
+    steenrod._power_on_monomial.cache_clear()
+    steenrod.reduced_power_on_elementary.cache_clear()
+    report = verify_axiom("adem", P2, 16)
+    # the memo of P^b(x) and P^a(P^b(x)) lives for one call only: the module
+    # cache holds no more than the 1125 sub-monomial images computed here
+    # when each identity was evaluated through apply_P_polynomial
+    assert steenrod._power_on_monomial.cache_info().currsize <= 1125
+
+    def composites():
+        return [apply_P_polynomial(a, apply_P_polynomial(b, x, P2), P2).render()
+                for _, x in steenrod._test_classes(P2, 16, 5)
+                for a in range(4) for b in range(4)]
+
+    before = composites()
+    for c in report.checks:
+        for terms in (c.lhs_terms, c.rhs_terms):
+            terms.clear()
+            terms[(1, 1)] = 1
+    assert composites() == before
+    digest = hashlib.sha256(_axiom("adem", 2, 16).encode()).hexdigest()
+    assert digest == DIGESTS["axiom adem p=2 bound=16"]
 
 
 def test_context_algebra_is_cached():
