@@ -13,14 +13,14 @@ from .models import GroupModel, TorsionPrimeError
 from .obstruction import (DivisibilityScan, ObstructionReport, SectionQuery,
                           Witness, check_cohomological, check_gl_quotient,
                           check_orthogonal, check_symplectic, divisibility_scan)
-from .steenrod import (SteenrodContext, apply_P_polynomial, apply_P_primitive,
+from .steenrod import (apply_P_polynomial, apply_P_primitive,
                        decomposable_quotient, verify_axiom)
 
 __all__ = [
     "AlgebraPresentation", "Bidegree", "DivisibilityScan", "Element",
     "GeneratorSpec", "GroupModel", "INHOMOGENEOUS", "KoszulComplex",
     "Monomial", "ObstructionReport", "Prime", "SectionQuery",
-    "SteenrodContext", "TorTable", "TorsionPrimeError", "Witness",
+    "TorTable", "TorsionPrimeError", "Witness",
     "apply_P_polynomial", "apply_P_primitive", "bidegree_of", "binom_mod_p",
     "build_koszul", "check_cohomological", "check_gl_quotient",
     "check_orthogonal", "check_symplectic", "decomposable_quotient",

@@ -20,8 +20,7 @@ from .modp import Prime, is_prime
 from .models import GroupModel, TorsionPrimeError, model_from_matrix_size
 from .obstruction import (check_cohomological, check_gl_quotient,
                           check_orthogonal, check_symplectic, divisibility_scan)
-from .steenrod import (AXIOMS, SteenrodContext, apply_P_polynomial,
-                       apply_P_primitive, verify_axiom)
+from .steenrod import AXIOMS, apply_P_polynomial, apply_P_primitive, verify_axiom
 
 
 class CliError(Exception):
@@ -130,11 +129,11 @@ def cmd_steenrod(args) -> int:
         if args.group is None:
             raise CliError("--class needs --group FAMILY:SIZE")
         model = _parse_group(args.group)
-        ctx = SteenrodContext(p, model)
+        model.check_prime(p)
         m = re.fullmatch(r"a(\d+)", args.class_name)
         if not m:
             raise CliError(f"--class expects an odd generator aJ, got {args.class_name!r}")
-        result = apply_P_primitive(args.op, int(m.group(1)), ctx)
+        result = apply_P_primitive(args.op, int(m.group(1)), model, p)
         source = args.class_name
     else:
         x = parse_polynomial(args.poly, p)

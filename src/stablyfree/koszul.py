@@ -18,7 +18,7 @@ from itertools import combinations
 from types import MappingProxyType
 
 from .algebra import (AlgebraPresentation, GeneratorSpec, Monomial, add_exps,
-                      even_gen, iter_monomials, odd_gen)
+                      iter_monomials, odd_gen)
 from .linalg import Vector, quotient_basis, rank_and_kernel
 from .modp import Prime
 from .models import GroupModel
@@ -257,9 +257,8 @@ def homogeneous_space_complex(family: str, n: int, r: int, p: Prime) -> KoszulCo
     model.check_prime(p)
     if r < 0 or r > n:
         raise ValueError(f"subgroup rank r={r} out of range for n={n}")
-    indices = model.generator_indices()
-    killed = frozenset(f"c{i}" for i in indices[r:])
-    base = [even_gen(f"c{i}", i) for i in indices]
+    base = model.even_generators()
+    killed = frozenset(g.name for g in base[r:])
     module = AlgebraPresentation(p, tuple(base), killed)
     return build_koszul(base, module)
 

@@ -33,19 +33,12 @@ class GroupModel:
         if self.n < 0:
             raise ValueError("rank parameter must be nonnegative")
 
-    @property
-    def matrix_size(self) -> int:
+    def generator_indices(self) -> range:
+        """Indices J such that aJ / cJ are generators for this model, in
+        rank order: the rank-r subgroup has the first r of them."""
         if self.family == "GL":
-            return self.n
-        if self.family == "Sp":
-            return 2 * self.n
-        return 2 * self.n + 1
-
-    def generator_indices(self) -> list[int]:
-        """Indices J such that aJ / cJ are generators for this model."""
-        if self.family == "GL":
-            return list(range(1, self.n + 1))
-        return list(range(2, 2 * self.n + 1, 2))
+            return range(1, self.n + 1)
+        return range(2, 2 * self.n + 1, 2)
 
     def odd_generators(self) -> list[GeneratorSpec]:
         return [odd_gen(f"a{j}", j) for j in self.generator_indices()]

@@ -3,6 +3,7 @@ and the combined divisibility moduli N_q built from them."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -57,15 +58,8 @@ def binom_mod_p(n: int, k: int, p: Prime) -> int:
         raise ValueError("binomial arguments must be nonnegative")
     pv = p.value
     acc = 1
-    while k > 0 or n > 0:
-        nd, kd = n % pv, k % pv
-        if kd > nd:
-            return 0
-        num = den = 1
-        for t in range(kd):
-            num = num * (nd - t) % pv
-            den = den * (t + 1) % pv
-        acc = acc * num * pow(den, pv - 2, pv) % pv
+    while k > 0 and acc:
+        acc = acc * math.comb(n % pv, k % pv) % pv
         n //= pv
         k //= pv
     return acc

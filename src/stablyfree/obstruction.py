@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 from .koszul import homogeneous_space_odd_basis
 from .modp import Prime, binom_mod_p, exponent_n, raynaud_number
 from .models import GroupModel
-from .steenrod import SteenrodContext, apply_P_primitive
+from .steenrod import apply_P_primitive
 
 OBSTRUCTED = "obstructed"
 NO_OBSTRUCTION = "no_obstruction_found"
@@ -42,13 +42,26 @@ class SectionQuery:
     b: int = 0
 
     def __post_init__(self):
-        GroupModel(self.family, self.n).check_prime(self.p)
+        self.model.check_prime(self.p)
         if self.family == "GL":
             if not (0 <= self.a <= self.b <= self.n):
                 raise ValueError(f"need 0 <= a <= b <= n, got a={self.a}, "
                                  f"b={self.b}, n={self.n}")
         elif self.n < 1:
             raise ValueError("rank must be at least 1")
+
+    @property
+    def model(self) -> GroupModel:
+        return GroupModel(self.family, self.n)
+
+    @property
+    def ranks(self) -> tuple[int, int]:
+        """Subgroup ranks (source, target) of the two quotients compared:
+        the map loses the generators from the source rank up to the target
+        rank and keeps those above it."""
+        if self.family == "GL":
+            return self.a, self.b
+        return 0, self.n - 1
 
     def describe(self) -> str:
         if self.family == "GL":
@@ -133,20 +146,27 @@ def _is_extrapolated(query: SectionQuery) -> bool:
     return query.b != query.n - 1 and query.a != query.b
 
 
-def _witness_scan(sources: range, targets: range, p: Prime) -> tuple[Witness, ...]:
+def _witness_scan(query: SectionQuery) -> ObstructionReport:
     """The witness rule of every combinatorial check: P^i(a_m) =
-    C(m-1, i) * a_{m+i(p-1)} for a lost source m, i >= 1 and m + i(p-1) in
-    the contiguous range of surviving targets, kept when the residue is
-    nonzero.  Ordered by source, then by operation."""
-    step = p.value - 1
+    C(m-1, i) * a_{m+i(p-1)} for a generator m the map loses, i >= 1 and
+    m + i(p-1) a surviving generator, kept when the residue is nonzero.
+    Ordered by source, then by operation."""
+    s, t = query.ranks
+    indices = query.model.generator_indices()
+    survivors = indices[t:]
+    step = query.p.value - 1
     witnesses = []
-    for m in sources:
-        first = max(1, -((m - targets.start) // step))  # ceil((start - m) / step)
-        for i in range(first, (targets.stop - 1 - m) // step + 1):
-            residue = binom_mod_p(m - 1, i, p)
+    for m in indices[s:t]:
+        first = max(1, -((m - survivors.start) // step))  # ceil((start - m) / step)
+        for i in range(first, (survivors.stop - 1 - m) // step + 1):
+            target = m + i * step
+            if target not in survivors:  # odd targets do not exist for Sp / SO
+                continue
+            residue = binom_mod_p(m - 1, i, query.p)
             if residue:
-                witnesses.append(Witness(m, i, m + i * step, residue))
-    return tuple(witnesses)
+                witnesses.append(Witness(m, i, target, residue))
+    return ObstructionReport(query, tuple(witnesses), "combinatorial",
+                             _is_extrapolated(query))
 
 
 def check_gl_quotient(n: int, a: int, b: int, p: Prime) -> ObstructionReport:
@@ -155,27 +175,18 @@ def check_gl_quotient(n: int, a: int, b: int, p: Prime) -> ObstructionReport:
     Witnesses are pairs (m, i) with a < m <= b (a_m dies in the target),
     b < m + i(p-1) <= n (the image survives), and C(m-1, i) nonzero.
     """
-    query = SectionQuery("GL", n, p, a, b)
-    witnesses = _witness_scan(range(a + 1, b + 1), range(b + 1, n + 1), p)
-    return ObstructionReport(query, witnesses, "combinatorial", _is_extrapolated(query))
-
-
-def _corank_one_witnesses(n: int, p: Prime) -> tuple[Witness, ...]:
-    """Sp_2n and SO_{2n+1}: generators a_{2m} with m < n must land on the
-    surviving top class a_{2n}."""
-    return _witness_scan(range(2, 2 * n, 2), range(2 * n, 2 * n + 1), p)
+    return _witness_scan(SectionQuery("GL", n, p, a, b))
 
 
 def check_symplectic(n: int, p: Prime) -> ObstructionReport:
-    """Witness scan for Sp_2n -> Sp_2n/Sp_{2n-2}."""
-    query = SectionQuery("Sp", n, p)
-    return ObstructionReport(query, _corank_one_witnesses(n, p), "combinatorial")
+    """Witness scan for Sp_2n -> Sp_2n/Sp_{2n-2}: generators a_{2m} with
+    m < n must land on the surviving top class a_{2n}."""
+    return _witness_scan(SectionQuery("Sp", n, p))
 
 
 def check_orthogonal(n: int, p: Prime) -> ObstructionReport:
     """Witness scan for SO_{2n+1} -> SO_{2n+1}/SO_{2n-1}; needs p > 2."""
-    query = SectionQuery("SO", n, p)  # rejects the torsion prime
-    return ObstructionReport(query, _corank_one_witnesses(n, p), "combinatorial")
+    return _witness_scan(SectionQuery("SO", n, p))  # rejects the torsion prime
 
 
 def check_cohomological(query: SectionQuery) -> ObstructionReport:
@@ -185,23 +196,18 @@ def check_cohomological(query: SectionQuery) -> ObstructionReport:
     applies the operation engine to every source-only generator, and
     flags images landing on surviving generators.
     """
-    p = query.p
-    model = GroupModel(query.family, query.n)
-    if query.family == "GL":
-        source = homogeneous_space_odd_basis("GL", query.n, query.a, p)
-        target = homogeneous_space_odd_basis("GL", query.n, query.b, p)
-    else:
-        source = homogeneous_space_odd_basis(query.family, query.n, 0, p)
-        target = homogeneous_space_odd_basis(query.family, query.n, query.n - 1, p)
+    p, model = query.p, query.model
+    source, target = (homogeneous_space_odd_basis(query.family, query.n, r, p)
+                      for r in query.ranks)
     source_idx = [g.bidegree.weight for g in source]
     target_idx = {g.bidegree.weight for g in target}
-    ctx = SteenrodContext(p, model)
-    top = max(model.generator_indices(), default=0)
+    indices = model.generator_indices()
+    top = indices[-1] if indices else 0
     witnesses = []
     for j in sorted(set(source_idx) - target_idx):
         i = 1
         while j + i * (p.value - 1) <= top:
-            image = apply_P_primitive(i, j, ctx)
+            image = apply_P_primitive(i, j, model, p)
             for mono, coeff in image.terms.items():
                 t = image.algebra.generators[mono.odd[0]].bidegree.weight
                 if t in target_idx:

@@ -20,41 +20,25 @@ from functools import lru_cache
 from itertools import accumulate
 from operator import mul
 
-from .algebra import (AlgebraPresentation, Element, Monomial, add_exps,
-                      bidegree_of, polynomial_algebra)
+from .algebra import Element, Monomial, add_exps, bidegree_of, polynomial_algebra
 from .modp import Prime, binom_mod_p
 from .models import GroupModel
 from .symmetric import reduced_power_on_elementary
 
 
-@dataclass(frozen=True, slots=True)
-class SteenrodContext:
-    """A coefficient prime together with the group model acted on."""
-
-    modulus: Prime
-    model: GroupModel
-
-    def __post_init__(self):
-        self.model.check_prime(self.modulus)
-
-    def algebra(self) -> AlgebraPresentation:
-        return self.model.group_algebra(self.modulus)
-
-
-def apply_P_primitive(i: int, j: int, ctx: SteenrodContext) -> Element:
-    """P^i on the primitive odd generator a_j of the model.
+def apply_P_primitive(i: int, j: int, model: GroupModel, p: Prime) -> Element:
+    """P^i on the primitive odd generator a_j of the model, mod p.
 
     The image is C(j-1, i) * a_{j + i(p-1)}; indices that are not
     generators of the model (out of range, or of the wrong parity for
     Sp/SO) carry no class, so the image is zero there.
     """
+    alg = model.group_algebra(p)  # rejects a torsion prime before the indices
     if i < 0:
         raise ValueError("operation index must be nonnegative")
-    indices = ctx.model.generator_indices()
+    indices = model.generator_indices()
     if j not in indices:
-        raise ValueError(f"a{j} is not an odd generator of {ctx.model.describe()}")
-    alg = ctx.algebra()
-    p = ctx.modulus
+        raise ValueError(f"a{j} is not an odd generator of {model.describe()}")
     target = j + i * (p.value - 1)
     if target not in indices:
         return alg.zero()
@@ -324,11 +308,8 @@ def verify_axiom(axiom: str, p: Prime, degree_bound: int,
 
     elif axiom == "cartan":
         rng = random.Random(_POOL_SEED + 1)
-        pairs = []
-        for _ in range(12):
-            name_x, x = rng.choice(pool)
-            name_y, y = rng.choice(pool)
-            pairs.append((name_x, x, name_y, y))
+        # bound 0 leaves the pool empty, and so no pairs to draw
+        pairs = [(*rng.choice(pool), *rng.choice(pool)) for _ in range(12 if pool else 0)]
         for name_x, x, name_y, y in pairs:
             xy = x * y
             if xy.is_zero():

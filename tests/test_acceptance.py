@@ -14,9 +14,8 @@ from stablyfree.modp import Prime, binom_mod_p
 from stablyfree.obstruction import (SectionQuery, check_cohomological,
                                     check_gl_quotient, check_orthogonal,
                                     check_symplectic, divisibility_scan)
-from stablyfree.steenrod import (SteenrodContext, apply_P_polynomial,
-                                 apply_P_primitive, decomposable_quotient,
-                                 verify_axiom)
+from stablyfree.steenrod import (apply_P_polynomial, apply_P_primitive,
+                                 decomposable_quotient, verify_axiom)
 from stablyfree.models import GroupModel
 from stablyfree.algebra import AlgebraPresentation, even_gen
 from stablyfree.koszul import build_koszul
@@ -31,8 +30,8 @@ def _report(number: int, description: str, ok: bool):
 
 
 def test_criterion_1_example_reproduction():
-    ctx = SteenrodContext(P3, GroupModel("Sp", 2))
-    op_ok = apply_P_primitive(1, 2, ctx) == ctx.algebra().gen("a4")
+    sp = GroupModel("Sp", 2)
+    op_ok = apply_P_primitive(1, 2, sp, P3) == sp.group_algebra(P3).gen("a4")
     report = check_symplectic(2, P3)
     witness_ok = (report.obstructed
                   and [(w.source, w.op, int(w.residue)) for w in report.witnesses]

@@ -185,11 +185,11 @@ def test_group_model_tables():
     sp = GroupModel("Sp", 3)
     assert [g.name for g in sp.odd_generators()] == ["a2", "a4", "a6"]
     assert [g.name for g in sp.even_generators()] == ["c2", "c4", "c6"]
-    assert sp.matrix_size == 6
+    assert sp.describe() == "Sp_6"
 
     so = GroupModel("SO", 3)
     assert so.generator_indices() == sp.generator_indices()
-    assert so.matrix_size == 7
+    assert so.describe() == "SO_7"
     with pytest.raises(TorsionPrimeError):
         so.group_algebra(P2)
     so.group_algebra(P3)  # fine away from the torsion prime

@@ -197,6 +197,20 @@ def test_verify_examples():
     assert code == 0
 
 
+@pytest.mark.parametrize("axiom", cli.AXIOMS)
+@pytest.mark.parametrize("p", [2, 3])
+def test_verify_bound_zero_checks_nothing(axiom, p):
+    # bound 0 leaves the test pool empty: no identity to check, none failed
+    argv = ("verify", "--axiom", axiom, "-p", str(p), "--bound", "0")
+    assert run_cli(*argv) == (
+        0, f"axiom={axiom} p={p} bound=0 identities=0 failures=0 ok\n", "")
+    code, out, err = run_cli(*argv, "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"axiom": axiom, "p": p, "degree_bound": 0,
+                               "identities_checked": 0, "failures": [],
+                               "passed": True}
+
+
 def test_verify_bad_axiom_exits_two():
     code, _, err = run_cli("verify", "--axiom", "bogus", "-p", "2", "--bound", "5")
     assert code == 2 and "unknown axiom" in err

@@ -5,19 +5,23 @@ CLI stdout in text and JSON) and is compared by sha256 digest with the
 output recorded before monomials became positional (for P^3(c6) at
 p = 7, before seeds came from a generating function; for the Adem
 identities at the bounds the benchmark runs, before the harness composed
-on exponent dicts).  A refactor that
+on exponent dicts; for the verdict grid, the `--class` runs and the error
+paths, before `SteenrodContext` was deleted).  A refactor that
 changes a rendered term, an ordering or a JSON payload fails here; a
 deliberate output change must re-record the digest and say why.
 """
 
 import hashlib
 import io
-from contextlib import redirect_stdout
+import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
 from stablyfree.cli import main
 from stablyfree.modp import Prime
+from stablyfree.models import FAMILIES, GroupModel
+from stablyfree.obstruction import check_gl_quotient
 from stablyfree.steenrod import verify_axiom
 
 
@@ -32,6 +36,79 @@ def _cli(*argv):
     with redirect_stdout(out):
         code = main(list(argv))
     return f"exit {code}\n{out.getvalue()}"
+
+
+def _runs(*argvs):
+    """Command line, exit code, stdout and stderr of each run, concatenated;
+    argparse's own exit (usage errors) counts as an exit code."""
+    chunks = []
+    for argv in argvs:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(list(argv))
+            except SystemExit as e:
+                code = e.code
+        chunks.append(f"$ {' '.join(argv)}\nexit {code}\n{out.getvalue()}"
+                      f"stderr:\n{err.getvalue()}")
+    return "".join(chunks)
+
+
+FORMATS = ((), ("--json",))
+
+
+def _gl_grid(p):
+    """Every GL_n/GL_a -> GL_n/GL_b with 0 <= a <= b <= n <= 10, both engines."""
+    return _runs(*(("obstruct", "gl", "--n", str(n), "--a", str(a), "--b", str(b),
+                    "-p", str(p), "--oracle", *fmt)
+                   for n in range(11) for a in range(n + 1) for b in range(a, n + 1)
+                   for fmt in FORMATS))
+
+
+def _corank_one_grid(shape, p):
+    """Sp / SO corank-one maps for 0 <= n <= 10 (n = 0 and SO at p = 2 fail)."""
+    return _runs(*(("obstruct", shape, "--n", str(n), "-p", str(p), "--oracle", *fmt)
+                   for n in range(11) for fmt in FORMATS))
+
+
+def _class_grid(group, p):
+    """P^op(aJ) on a group model for J = 1..9 and op = 0..3, including the
+    classes that are not generators of the model."""
+    return _runs(*(("steenrod", "-p", str(p), "--group", group, "--class", f"a{j}",
+                    "--op", str(op), *fmt)
+                   for j in range(1, 10) for op in range(4) for fmt in FORMATS))
+
+
+# invalid input, several of it invalid in two ways at once: the first
+# error reported is part of the output
+ERROR_RUNS = (
+    ("steenrod", "-p", "2", "--group", "SO:5", "--class", "x", "--op", "1"),
+    ("steenrod", "-p", "2", "--group", "SO:5", "--class", "a3", "--op", "-1"),
+    ("steenrod", "-p", "3", "--group", "SO:5", "--class", "x", "--op", "1"),
+    ("steenrod", "-p", "3", "--group", "Sp:4", "--class", "a3", "--op", "1"),
+    ("steenrod", "-p", "3", "--group", "Sp:4", "--class", "a2", "--op", "-1"),
+    ("steenrod", "-p", "3", "--group", "Sp:4", "--class", "a3", "--op", "-1"),
+    ("steenrod", "-p", "3", "--group", "GL:3", "--class", "a0", "--op", "1"),
+    ("steenrod", "-p", "3", "--group", "GL:0", "--class", "a1", "--op", "0"),
+    ("steenrod", "-p", "3", "--group", "Sp:5", "--class", "a2", "--op", "1"),
+    ("steenrod", "-p", "3", "--group", "SO:1", "--class", "a2", "--op", "1"),
+    ("steenrod", "-p", "3", "--group", "XX:5", "--class", "a2", "--op", "1"),
+    ("steenrod", "-p", "3", "--class", "a2", "--op", "1"),
+    ("steenrod", "-p", "4", "--group", "GL:3", "--class", "a1", "--op", "1"),
+    ("steenrod", "-p", "3", "--op", "1"),
+    ("obstruct", "gl", "--n", "3", "--a", "2", "--b", "1", "-p", "3"),
+    ("obstruct", "gl", "--n", "3", "--a", "0", "--b", "4", "-p", "3"),
+    ("obstruct", "gl", "--n", "-1", "--a", "0", "--b", "0", "-p", "3"),
+    ("obstruct", "gl", "--n", "3", "--a", "-1", "--b", "1", "-p", "2"),
+    ("obstruct", "gl", "--n", "3", "-p", "3"),
+    ("obstruct", "sp", "--n", "-1", "-p", "3"),
+    ("obstruct", "so", "--n", "0", "-p", "2"),
+    ("obstruct", "so", "--n", "-1", "-p", "2"),
+    ("obstruct", "sp", "-p", "3"),
+    ("obstruct", "sp", "--n", "3", "-p", "1"),
+    ("tor", "--family", "SO", "--n", "3", "-p", "2"),
+    ("tor", "--family", "GL", "--n", "3", "--r", "5", "-p", "2"),
+)
 
 
 def _steenrod(p, poly, op):
@@ -89,7 +166,14 @@ CASES = {
                                         "--oracle", "--json"),
     "scan q=3 p=2": lambda: _cli("obstruct", "scan", "--q", "3", "-p", "2",
                                  "--n-max", "40", "--json"),
+    "error paths": lambda: _runs(*ERROR_RUNS),
 }
+for _p in (2, 3, 5, 7):
+    CASES[f"verdict grid gl p={_p}"] = lambda p=_p: _gl_grid(p)
+    for _shape in ("sp", "so"):
+        CASES[f"verdict grid {_shape} p={_p}"] = lambda s=_shape, p=_p: _corank_one_grid(s, p)
+    for _group in ("GL:8", "Sp:8", "SO:9"):
+        CASES[f"class grid {_group} p={_p}"] = lambda g=_group, p=_p: _class_grid(g, p)
 
 DIGESTS = {
     'axiom adem p=2 bound=14':
@@ -162,6 +246,56 @@ DIGESTS = {
         '37951baa16c6912b309e46d47fbc349ecdfb7a049c58d10a0e8c461ca439a344',
     'tor Sp n=3 r=1 p=2 json':
         '8491dc84f5646e9ce1371186a43cd213c1f06a82567ab8d6f30b7563c54c7d9d',
+    'class grid GL:8 p=2':
+        'b6b4ed56fdce786eea7b18ac56472a230ac2fa69082bbaa2e95ca5c0cf57a239',
+    'class grid GL:8 p=3':
+        'c3dca29954c99200a2764693bdce76a197299fa6117d11ece9f5426336c50fc4',
+    'class grid GL:8 p=5':
+        'efdd366152f72b7c8fd9705466f0a5d4bbd967b35d034c1ed1228efe8249d3d4',
+    'class grid GL:8 p=7':
+        'cd0b54e4d4ae392506e1dcc4f471fd3723e7f5989a6cf32cd666a45c0e7616ab',
+    'class grid SO:9 p=2':
+        '065d0c985f9acdb8d2826667301a33ea1ee37eb0c7d1337234ff37601a670b27',
+    'class grid SO:9 p=3':
+        '0bc7e4afb3c0b5a607e8714863e6ff14592ff3641e4034d7ea1a2a0129212acb',
+    'class grid SO:9 p=5':
+        '69cb59be13e94edbf3fc852dca24e00677b8194a195b38d867b75be2032b0206',
+    'class grid SO:9 p=7':
+        'd02e98871127319fbf57f7668583eb5511635fc1d4bef5c24c6f1cda02dfffbd',
+    'class grid Sp:8 p=2':
+        'f4c7af0d5d673af2bad50ffdfaac0070f0d76db10771c0d9b9a73e701a5c91be',
+    'class grid Sp:8 p=3':
+        '6df27b6ff7b789a7cc6d2ad3c38c4c9d5451e44b087965cf1b31e0bf5af01268',
+    'class grid Sp:8 p=5':
+        '711da39c90e3bef5187aacfdac86356ecddcd47ab328a142560b216ee864f349',
+    'class grid Sp:8 p=7':
+        'eca5034d09111ee4cc53049d11ee385a12a17ce1e0a25f712730b798f88c1f03',
+    'error paths':
+        'c6a37d4c191bc3e840f61928ec5dd0df6978efd051120353d78ddf5895b737dc',
+    'verdict grid gl p=2':
+        '183665664705d7452aba0c8b6fd1eaeb8fcb01b84b8a884477356e433e93106d',
+    'verdict grid gl p=3':
+        '365f4483adf84ff0a248c9a305d8bea930d2846acb65ebf7a975e39715d7fdf3',
+    'verdict grid gl p=5':
+        '708227161b5daf143f877f3b9ae42977828b58b6a607f13445d6b46225c1f695',
+    'verdict grid gl p=7':
+        'a13e8294621249726599cd1a804f2a453a80f45772ace9b7fe30875b4a0178f0',
+    'verdict grid so p=2':
+        'deed8c315cca8ce112628c563558fd86198ae8b18516eeffc492e038125ff61b',
+    'verdict grid so p=3':
+        'fad008a43f6eff31ce9fc585fb37076ffa84d8a15ddccf82bc83836d07d70626',
+    'verdict grid so p=5':
+        'dff5c4f35d6384e7ae2a2b4ba1eadb774fe608f0264ebc38ca0aa6a117e5793b',
+    'verdict grid so p=7':
+        '802629750588ddd1c7985c2fe0a5a839484f4cc71872987cd367fd80d1b0acbd',
+    'verdict grid sp p=2':
+        '0d3e0a89d157ff7759af237e1eaff6f9645780d65b4388b6beff117eaab34cda',
+    'verdict grid sp p=3':
+        '49b43e15d1c9db3cc8e0d158190f9e908d875a23270b48ef432f43778c1f12b0',
+    'verdict grid sp p=5':
+        'fcec0ba1f4b6c29e752f3176339e3ec54b4914395e40347034dd764c2fb6e466',
+    'verdict grid sp p=7':
+        'de97f84ce8d5359dc5005150ab3624cba9f1defee38aeb23b321c530bb43077f',
 }
 
 
@@ -169,3 +303,21 @@ DIGESTS = {
 def test_output_matches_recorded_digest(name):
     digest = hashlib.sha256(CASES[name]().encode()).hexdigest()
     assert digest == DIGESTS[name]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_generator_indices_are_ranges(family):
+    indices = GroupModel(family, 5).generator_indices()
+    assert isinstance(indices, range)
+    assert list(indices) == ([1, 2, 3, 4, 5] if family == "GL" else [2, 4, 6, 8, 10])
+
+
+def test_gl_quotient_at_large_rank_follows_binomial_rule():
+    """Lost sources a < m <= b, surviving targets b < m + i(p-1) <= n, kept
+    when C(m-1, i) is nonzero mod p; at n = 10**6 no index list is built."""
+    n, a, b, p = 10**6, 10**6 - 9, 10**6 - 1, 3
+    expected = [(m, i, m + i * (p - 1), math.comb(m - 1, i) % p)
+                for m in range(a + 1, b + 1) for i in range(1, (n - m) // (p - 1) + 1)
+                if b < m + i * (p - 1) <= n and math.comb(m - 1, i) % p]
+    report = check_gl_quotient(n, a, b, Prime(p))
+    assert [(w.source, w.op, w.target, w.residue) for w in report.witnesses] == expected

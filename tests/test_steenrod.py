@@ -9,9 +9,8 @@ from stablyfree.algebra import (AlgebraPresentation, Bidegree, Monomial,
 from stablyfree.modp import Prime, binom_mod_p
 from stablyfree.models import GroupModel, TorsionPrimeError
 from stablyfree import steenrod
-from stablyfree.steenrod import (SteenrodContext, apply_P_polynomial,
-                                 apply_P_primitive, decomposable_quotient,
-                                 verify_axiom)
+from stablyfree.steenrod import (apply_P_polynomial, apply_P_primitive,
+                                 decomposable_quotient, verify_axiom)
 from steenrod_oracle import brute_force_reduced_power, chern_monomials_of_weight
 from test_golden import DIGESTS, _axiom
 
@@ -21,27 +20,25 @@ P2, P3, P5 = Prime(2), Prime(3), Prime(5)
 # -- primitive action --------------------------------------------------------
 
 def test_primitive_sp4_example():
-    ctx = SteenrodContext(P3, GroupModel("Sp", 2))
-    assert apply_P_primitive(1, 2, ctx).render() == "a4"
+    assert apply_P_primitive(1, 2, GroupModel("Sp", 2), P3).render() == "a4"
 
 
 def test_primitive_unit_and_vanishing():
-    ctx = SteenrodContext(P3, GroupModel("GL", 6))
+    gl = GroupModel("GL", 6)
     for j in range(1, 7):
-        assert apply_P_primitive(0, j, ctx) == ctx.algebra().gen(f"a{j}")
+        assert apply_P_primitive(0, j, gl, P3) == gl.group_algebra(P3).gen(f"a{j}")
     # C(1, 2) = 0
-    ctx_sp = SteenrodContext(P3, GroupModel("Sp", 4))
-    assert apply_P_primitive(2, 2, ctx_sp).is_zero()
+    assert apply_P_primitive(2, 2, GroupModel("Sp", 4), P3).is_zero()
 
 
 def test_primitive_matches_binomial_rule():
+    gl = GroupModel("GL", 8)
     for p in (P2, P3, P5):
-        ctx = SteenrodContext(p, GroupModel("GL", 8))
-        alg = ctx.algebra()
+        alg = gl.group_algebra(p)
         for j in range(1, 9):
             for i in range(0, 6):
                 target = j + i * (p.value - 1)
-                got = apply_P_primitive(i, j, ctx)
+                got = apply_P_primitive(i, j, gl, p)
                 if target > 8:
                     assert got.is_zero()
                 else:
@@ -50,22 +47,24 @@ def test_primitive_matches_binomial_rule():
 
 
 def test_primitive_out_of_model_index():
-    ctx = SteenrodContext(P3, GroupModel("Sp", 2))
     with pytest.raises(ValueError):
-        apply_P_primitive(1, 3, ctx)  # a3 is not a symplectic generator
+        apply_P_primitive(1, 3, GroupModel("Sp", 2), P3)  # a3 is not a symplectic generator
 
 
 def test_primitive_odd_parity_target_dies_in_sp():
     # at p = 2 the shift can be odd; no such generator exists for Sp
-    ctx = SteenrodContext(P2, GroupModel("Sp", 3))
-    assert apply_P_primitive(1, 2, ctx).is_zero()
-    assert apply_P_primitive(2, 2, ctx) == ctx.algebra().gen("a4") * int(
+    sp = GroupModel("Sp", 3)
+    assert apply_P_primitive(1, 2, sp, P2).is_zero()
+    assert apply_P_primitive(2, 2, sp, P2) == sp.group_algebra(P2).gen("a4") * int(
         binom_mod_p(1, 2, P2))
 
 
-def test_so_context_rejects_two():
-    with pytest.raises(TorsionPrimeError):
-        SteenrodContext(P2, GroupModel("SO", 3))
+def test_primitive_so_rejects_two():
+    # the torsion prime is reported before any index error
+    so = GroupModel("SO", 3)
+    for i, j in ((1, 2), (-1, 2), (1, 3), (-1, 3)):
+        with pytest.raises(TorsionPrimeError):
+            apply_P_primitive(i, j, so, P2)
 
 
 # -- polynomial action -------------------------------------------------------
@@ -86,9 +85,8 @@ def test_polynomial_examples():
 
 
 def test_polynomial_rejects_odd_and_mismatched():
-    ctx = SteenrodContext(P3, GroupModel("GL", 3))
     with pytest.raises(ValueError, match="odd"):
-        apply_P_polynomial(1, ctx.algebra().gen("a2"), P3)
+        apply_P_polynomial(1, GroupModel("GL", 3).group_algebra(P3).gen("a2"), P3)
     A = polynomial_algebra(P3, 2)
     with pytest.raises(ValueError, match="modulus"):
         apply_P_polynomial(1, A.gen("c1"), P5)
@@ -355,11 +353,10 @@ def test_report_values_do_not_alias_module_caches():
     assert digest == DIGESTS["axiom adem p=2 bound=16"]
 
 
-def test_context_algebra_is_cached():
-    ctx = SteenrodContext(P3, GroupModel("GL", 6))
-    assert ctx.algebra() is ctx.algebra()
-    assert ctx.algebra() is SteenrodContext(P3, GroupModel("GL", 6)).algebra()
-    assert ctx.algebra() is not SteenrodContext(P5, GroupModel("GL", 6)).algebra()
+def test_group_algebra_is_cached():
+    alg = GroupModel("GL", 6).group_algebra(P3)
+    assert alg is GroupModel("GL", 6).group_algebra(P3)
+    assert alg is not GroupModel("GL", 6).group_algebra(P5)
 
 
 def test_verify_axiom_rejects_unknown():
