@@ -3,8 +3,7 @@ classes, Koszul-homology Tor tables, and section obstructions for
 quotient maps of the classical split groups."""
 
 from .algebra import (AlgebraPresentation, Bidegree, Element, GeneratorSpec,
-                      INHOMOGENEOUS, Monomial, bidegree_of, polynomial_algebra,
-                      validate_realizability)
+                      INHOMOGENEOUS, Monomial, bidegree_of, polynomial_algebra)
 from .koszul import (KoszulComplex, TorTable, build_koszul,
                      homogeneous_space_odd_basis, homogeneous_space_tor,
                      koszul_homology)
@@ -26,5 +25,5 @@ __all__ = [
     "check_orthogonal", "check_symplectic", "decomposable_quotient",
     "divisibility_scan", "exponent_n", "homogeneous_space_odd_basis",
     "homogeneous_space_tor", "koszul_homology", "polynomial_algebra",
-    "raynaud_number", "validate_realizability", "verify_axiom",
+    "raynaud_number", "verify_axiom",
 ]

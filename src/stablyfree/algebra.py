@@ -1,10 +1,11 @@
 """Sparse exact arithmetic in bigraded-commutative algebras over F_p.
 
-An algebra here is a polynomial ring on even generators tensored with an
-exterior algebra on odd generators, optionally cut down by a monomial ideal
-that kills some generators outright.  Odd generators square to zero and
-anticommute; even generators are central.  Everything is kept in a canonical
-sparse form so that equality is structural.
+An algebra here is a polynomial ring on even generators in which odd
+generators enter linearly: a monomial has at most one odd factor, which is
+all the primitive classes a_m of the obstructions need, and a product of
+two odd classes raises ValueError.  A monomial ideal may kill some
+generators outright.  Everything is kept in a canonical sparse form so that
+equality is structural.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Iterable, Iterator
 from .modp import Prime
 
 INHOMOGENEOUS = "inhomogeneous"
+SECOND_ODD_FACTOR = "odd classes enter linearly: a monomial has at most one odd factor"
 
 
 @dataclass(frozen=True, slots=True)
@@ -29,18 +31,6 @@ class Bidegree:
     def __post_init__(self):
         if self.degree < 0 or self.weight < 0:
             raise ValueError("degree and weight must be nonnegative")
-
-    def __add__(self, other: "Bidegree") -> "Bidegree":
-        return Bidegree(self.degree + other.degree, self.weight + other.weight)
-
-    @property
-    def is_realizable(self) -> bool:
-        """Whether a class of this bidegree can live on a smooth scheme
-        (degree at most twice the weight)."""
-        return self.degree <= 2 * self.weight
-
-    def __str__(self) -> str:
-        return f"({self.degree}, {self.weight})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,10 +67,10 @@ class Monomial:
     """A canonical monomial over the generators of one presentation.
 
     `even` holds the exponent of the generator at each position, with no
-    trailing zeros (odd positions hold 0); `odd` holds the positions of the
-    odd factors in ascending order.  Positions only mean something relative
-    to a presentation, which owns the names, the ordering and the sign
-    bookkeeping; for `polynomial_algebra`, position k - 1 is c_k.
+    trailing zeros (odd positions hold 0); `odd` holds the position of the
+    odd factor, if there is one (a tuple of length at most one).  Positions
+    only mean something relative to a presentation, which owns the names
+    and the ordering; for `polynomial_algebra`, position k - 1 is c_k.
     """
 
     even: tuple[int, ...]
@@ -95,18 +85,6 @@ def add_exps(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     if len(a) < len(b):
         a, b = b, a
     return tuple(map(add, a, b)) + a[len(b):]
-
-
-def _merge_count_inversions(left: tuple[int, ...], right: tuple[int, ...]) -> int:
-    """Number of transpositions needed to interleave two sorted position
-    tuples into one sorted tuple (assumes no shared positions)."""
-    inversions = 0
-    j = 0
-    for pos in right:
-        while j < len(left) and left[j] < pos:
-            j += 1
-        inversions += len(left) - j
-    return inversions
 
 
 @dataclass(frozen=True)
@@ -131,9 +109,6 @@ class AlgebraPresentation:
             raise ValueError(f"killed generators not in presentation: {sorted(unknown)}")
         object.__setattr__(self, "_pos", {g.name: i for i, g in enumerate(self.generators)})
 
-    def __hash__(self):
-        return hash((self.modulus, self.generators, self.killed_generators))
-
     # -- generator lookups ------------------------------------------------
 
     def position(self, name: str) -> int:
@@ -155,12 +130,11 @@ class AlgebraPresentation:
     # -- monomial construction and arithmetic ------------------------------
 
     def make_monomial(self, even: dict[str, int] | None = None,
-                      odd: Iterable[str] = ()) -> tuple[int, Monomial | None]:
-        """Canonicalize generator data, given by name, into (sign, monomial).
+                      odd: Iterable[str] = ()) -> Monomial | None:
+        """Canonicalize generator data, given by name, into a monomial.
 
-        Returns (1, None) when the monomial dies: a killed generator
-        appears, or an odd generator repeats (odd squares vanish).  The
-        sign records the parity of the permutation sorting the odd part.
+        Returns None when a killed generator appears; a second odd name
+        raises ValueError.
         """
         exps: dict[int, int] = {}
         for name, exp in (even or {}).items():
@@ -171,32 +145,27 @@ class AlgebraPresentation:
             if self.spec(name).parity != "even":
                 raise ValueError(f"{name} is not an even generator")
             if name in self.killed_generators:
-                return 1, None
+                return None
             exps[self.position(name)] = exp
         even_part = [0] * (max(exps) + 1 if exps else 0)
         for k, exp in exps.items():
             even_part[k] = exp
 
-        positions = []
+        odd = tuple(odd)
+        if len(odd) > 1:
+            raise ValueError(SECOND_ODD_FACTOR)
         for name in odd:
             if self.spec(name).parity != "odd":
                 raise ValueError(f"{name} is not an odd generator")
             if name in self.killed_generators:
-                return 1, None
-            positions.append(self.position(name))
-        if len(set(positions)) != len(positions):
-            return 1, None
-        inversions = sum(a > b for i, a in enumerate(positions)
-                         for b in positions[i + 1:])
-        return (-1 if inversions % 2 else 1,
-                Monomial(tuple(even_part), tuple(sorted(positions))))
+                return None
+        return Monomial(tuple(even_part), tuple(map(self.position, odd)))
 
-    def mul_monomials(self, a: Monomial, b: Monomial) -> tuple[int, Monomial | None]:
-        """Product of two canonical monomials: (Koszul sign, monomial or None)."""
-        if not set(a.odd).isdisjoint(b.odd):
-            return 1, None
-        sign = -1 if _merge_count_inversions(a.odd, b.odd) % 2 else 1
-        return sign, Monomial(add_exps(a.even, b.even), tuple(sorted(a.odd + b.odd)))
+    def mul_monomials(self, a: Monomial, b: Monomial) -> Monomial:
+        """Product of two canonical monomials, at most one of them odd."""
+        if a.odd and b.odd:
+            raise ValueError(SECOND_ODD_FACTOR)
+        return Monomial(add_exps(a.even, b.even), a.odd or b.odd)
 
     def mono_bidegree(self, m: Monomial) -> Bidegree:
         deg = wt = 0
@@ -247,21 +216,18 @@ class AlgebraPresentation:
         return self.from_terms({UNIT_MONOMIAL: c})
 
     def gen(self, name: str) -> "Element":
-        g = self.spec(name)
-        if g.parity == "even":
-            sign, mono = self.make_monomial({name: 1})
+        if self.spec(name).parity == "even":
+            mono = self.make_monomial({name: 1})
         else:
-            sign, mono = self.make_monomial(odd=[name])
-        if mono is None:
-            return self.zero()
-        return self.from_terms({mono: sign})
+            mono = self.make_monomial(odd=[name])
+        return self.zero() if mono is None else self.from_terms({mono: 1})
 
     def monomial_element(self, even: dict[str, int] | None = None,
                          odd: Iterable[str] = (), coeff: int = 1) -> "Element":
-        sign, mono = self.make_monomial(even, odd)
+        mono = self.make_monomial(even, odd)
         if mono is None:
             return self.zero()
-        return self.from_terms({mono: sign * coeff})
+        return self.from_terms({mono: coeff})
 
 
 class Element:
@@ -300,12 +266,6 @@ class Element:
             out[mono] = out.get(mono, 0) + coeff
         return alg.from_terms(out)
 
-    def __neg__(self) -> "Element":
-        return self.algebra.from_terms({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "Element") -> "Element":
-        return self + (-other)
-
     def __mul__(self, other) -> "Element":
         if isinstance(other, int):
             return self.algebra.from_terms({m: c * other for m, c in self.terms.items()})
@@ -313,16 +273,9 @@ class Element:
         out: dict[Monomial, int] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                sign, mono = alg.mul_monomials(m1, m2)
-                if mono is None:
-                    continue
-                out[mono] = out.get(mono, 0) + sign * c1 * c2
+                mono = alg.mul_monomials(m1, m2)
+                out[mono] = out.get(mono, 0) + c1 * c2
         return alg.from_terms(out)
-
-    def __rmul__(self, other) -> "Element":
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
 
     def __pow__(self, k: int) -> "Element":
         if k < 0:
@@ -343,9 +296,6 @@ class Element:
         return (not self.terms or self.algebra.extends(other.algebra)
                 or other.algebra.extends(self.algebra))
 
-    def __hash__(self):
-        return hash((self.algebra.modulus, frozenset(self.terms.items())))
-
     # -- inspection ---------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
@@ -355,7 +305,7 @@ class Element:
     # -- rendering ------------------------------------------------------------
 
     def render(self) -> str:
-        """Deterministic plain-text form, e.g. '2*c1^3*a2^a5 + c4'."""
+        """Deterministic plain-text form, e.g. '2*c1^3*a2 + c4'."""
         if self.is_zero():
             return "0"
         parts = []
@@ -402,11 +352,6 @@ def bidegree_of(x: Element):
     return found
 
 
-def validate_realizability(x: Element) -> bool:
-    """Whether every term satisfies the vanishing bound degree <= 2 * weight."""
-    return all(x.algebra.mono_bidegree(m).is_realizable for m in x.terms)
-
-
 @lru_cache(maxsize=64)
 def polynomial_algebra(p: Prime, n: int) -> AlgebraPresentation:
     """F_p[c_1, ..., c_n] with c_i of bidegree (2i, i), at position i - 1."""
@@ -416,15 +361,15 @@ def polynomial_algebra(p: Prime, n: int) -> AlgebraPresentation:
 
 def iter_monomials(alg: AlgebraPresentation, weight: int) -> Iterator[Monomial]:
     """All canonical monomials of the given weight, in a deterministic
-    order.  Killed generators are skipped."""
+    order.  Killed generators are skipped; at most one factor is odd."""
     gens = [(k, g) for k, g in enumerate(alg.generators)
             if g.name not in alg.killed_generators]
     exps = [0] * len(alg.generators)
 
-    def rec(i: int, remaining: int, top: int, odd: list):
+    def rec(i: int, remaining: int, top: int, odd: tuple):
         # top: length of the even exponent prefix set so far
         if remaining == 0:
-            yield Monomial(tuple(exps[:top]), tuple(odd))
+            yield Monomial(tuple(exps[:top]), odd)
             return
         if i == len(gens):
             return
@@ -438,10 +383,7 @@ def iter_monomials(alg: AlgebraPresentation, weight: int) -> Iterator[Monomial]:
                 yield from rec(i + 1, remaining - e * w, k + 1, odd)
                 e += 1
             exps[k] = 0
-        else:
-            if w <= remaining:
-                odd.append(k)
-                yield from rec(i + 1, remaining - w, top, odd)
-                odd.pop()
+        elif w <= remaining and not odd:
+            yield from rec(i + 1, remaining - w, top, (k,))
 
-    yield from rec(0, weight, 0, [])
+    yield from rec(0, weight, 0, ())

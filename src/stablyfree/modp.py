@@ -38,12 +38,6 @@ class Prime:
         if not isinstance(self.value, int) or not is_prime(self.value):
             raise ValueError(f"{self.value!r} is not prime")
 
-    def __int__(self) -> int:
-        return self.value
-
-    def __index__(self) -> int:
-        return self.value
-
     def __str__(self) -> str:
         return str(self.value)
 

@@ -14,8 +14,9 @@ Each m_J(z) is an augmented monomial function of z divided by the
 factorials of J's multiplicities, and the augmented ones are sums of
 products of power sums of z, which Girard-Waring gives in closed form.
 The arithmetic is over Z, on polynomials in sigma truncated at degree i,
-and is reduced mod p only at the end: multiplicities reach p (J = (j^p)
-gives P^j(c_j) = c_j^p), so dividing by them mod p would be wrong.
+and is reduced mod p only at the end: Girard-Waring divides by n, which
+p may divide, so dividing mod p would be wrong.  The diagonal i = j,
+where P^j(c_j) = c_j^p, is returned directly.
 
 Everything is in the stable range: with at least as many roots as the
 total degree, no coefficient depends on the number of roots, so none is
@@ -48,6 +49,8 @@ def reduced_power_on_elementary(p: int, i: int, j: int) -> dict[tuple[int, ...],
         return {}
     if not j:
         return {(): 1}
+    if i == j:  # the p-th power axiom: P^j(c_j) = c_j^p
+        return {(0,) * (j - 1) + (p,): 1}
     weight = j + i * (p - 1)
 
     # a polynomial in sigma is its coefficient list, cut after degree i and

@@ -6,9 +6,11 @@ output recorded before monomials became positional (for P^3(c6) at
 p = 7, before seeds came from a generating function; for the Adem
 identities at the bounds the benchmark runs, before the harness composed
 on exponent dicts; for the verdict grid, the `--class` runs and the error
-paths, before `SteenrodContext` was deleted).  A refactor that
-changes a rendered term, an ordering or a JSON payload fails here; a
-deliberate output change must re-record the digest and say why.
+paths, before `SteenrodContext` was deleted; for the Tor grid and the
+diagonal seeds P^J(c_J), before odd classes entered linearly).  A
+refactor that changes a rendered term, an ordering or a JSON payload
+fails here; a deliberate output change must re-record the digest and say
+why.
 """
 
 import hashlib
@@ -111,6 +113,24 @@ ERROR_RUNS = (
 )
 
 
+def _tor_grid():
+    """Tor tables of GL/Sp/SO quotients for 0 <= n <= 7 and every
+    -1 <= r <= n + 1 (out-of-range r and SO at p = 2 fail) at p = 2, 3, 5,
+    7, at the default degree bound and at 3n + 5."""
+    return _runs(*(("tor", "--family", family, "--n", str(n), "--r", str(r),
+                    "-p", str(p), *bound, *fmt)
+                   for family in FAMILIES for n in range(8) for r in range(-1, n + 2)
+                   for p in (2, 3, 5, 7) for bound in ((), ("--bound", str(3 * n + 5)))
+                   for fmt in FORMATS))
+
+
+def _diagonal_grid():
+    """P^J(c_J) = c_J^p for J = 1..8 at the first six primes."""
+    return _runs(*(("steenrod", "-p", str(p), "--poly", f"c{j}", "--op", str(j),
+                    "--json")
+                   for p in (2, 3, 5, 7, 11, 13) for j in range(1, 9)))
+
+
 def _steenrod(p, poly, op):
     return _cli("steenrod", "-p", str(p), "--poly", poly, "--op", str(op), "--json")
 
@@ -167,6 +187,8 @@ CASES = {
     "scan q=3 p=2": lambda: _cli("obstruct", "scan", "--q", "3", "-p", "2",
                                  "--n-max", "40", "--json"),
     "error paths": lambda: _runs(*ERROR_RUNS),
+    "tor grid": _tor_grid,
+    "steenrod diagonal grid": _diagonal_grid,
 }
 for _p in (2, 3, 5, 7):
     CASES[f"verdict grid gl p={_p}"] = lambda p=_p: _gl_grid(p)
@@ -210,6 +232,8 @@ DIGESTS = {
         '58708f0ad1b260c5b7683aabca8b2c5a16100866c4802de0611a82cf8a1df0cf',
     'scan q=3 p=2':
         '5dbd9f3c0d1c8fc3cded96b7f9a88775e378c401f07babe9e74de09ae817d203',
+    'steenrod diagonal grid':
+        '00d8aa56df031a3321bcdec40bdc8e01401b5ec4b3637184c6532d1ffa97fe8e',
     'steenrod p=2 c1 op=5':
         '43c03205bf2b6cbf1e1b46410e3b83733f2638f69984e668d84c8a90aefdc34f',
     'steenrod p=2 c1^2*c2 + c3 op=2':
@@ -246,6 +270,8 @@ DIGESTS = {
         '37951baa16c6912b309e46d47fbc349ecdfb7a049c58d10a0e8c461ca439a344',
     'tor Sp n=3 r=1 p=2 json':
         '8491dc84f5646e9ce1371186a43cd213c1f06a82567ab8d6f30b7563c54c7d9d',
+    'tor grid':
+        '2dbcbc98d6a94cd5dc7b5904aa343b46b5ca783aeee6204ffe83d5b89a5910a6',
     'class grid GL:8 p=2':
         'b6b4ed56fdce786eea7b18ac56472a230ac2fa69082bbaa2e95ca5c0cf57a239',
     'class grid GL:8 p=3':
