@@ -10,10 +10,9 @@ equality is structural.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import add
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .modp import Prime
 
@@ -21,37 +20,49 @@ INHOMOGENEOUS = "inhomogeneous"
 SECOND_ODD_FACTOR = "odd classes enter linearly: a monomial has at most one odd factor"
 
 
-@dataclass(frozen=True, slots=True)
-class Bidegree:
-    """Cohomological degree and weight of a class."""
-
+class _Bidegree(NamedTuple):
     degree: int
     weight: int
 
-    def __post_init__(self):
-        if self.degree < 0 or self.weight < 0:
+
+class Bidegree(_Bidegree):
+    """Cohomological degree and weight of a class."""
+
+    __slots__ = ()
+
+    def __new__(cls, degree: int, weight: int):
+        if degree < 0 or weight < 0:
             raise ValueError("degree and weight must be nonnegative")
+        return super().__new__(cls, degree, weight)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
 
-@dataclass(frozen=True, slots=True)
-class GeneratorSpec:
+class _GeneratorSpec(NamedTuple):
+    name: str
+    parity: str  # "even" | "odd"
+    bidegree: Bidegree
+
+
+class GeneratorSpec(_GeneratorSpec):
     """A named generator with parity and bidegree.
 
     Even generators sit in bidegree (2w, w); odd ones in (2w - 1, w).
     """
 
-    name: str
-    parity: str  # "even" | "odd"
-    bidegree: Bidegree
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.parity not in ("even", "odd"):
-            raise ValueError(f"parity must be 'even' or 'odd', got {self.parity!r}")
-        d, w = self.bidegree.degree, self.bidegree.weight
-        if self.parity == "even" and d != 2 * w:
-            raise ValueError(f"even generator {self.name}: degree must equal 2*weight")
-        if self.parity == "odd" and d != 2 * w - 1:
-            raise ValueError(f"odd generator {self.name}: degree must equal 2*weight - 1")
+    def __new__(cls, name: str, parity: str, bidegree: Bidegree):
+        if parity not in ("even", "odd"):
+            raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+        d, w = bidegree.degree, bidegree.weight
+        if parity == "even" and d != 2 * w:
+            raise ValueError(f"even generator {name}: degree must equal 2*weight")
+        if parity == "odd" and d != 2 * w - 1:
+            raise ValueError(f"odd generator {name}: degree must equal 2*weight - 1")
+        return super().__new__(cls, name, parity, bidegree)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
 
 def even_gen(name: str, weight: int) -> GeneratorSpec:
@@ -62,8 +73,7 @@ def odd_gen(name: str, weight: int) -> GeneratorSpec:
     return GeneratorSpec(name, "odd", Bidegree(2 * weight - 1, weight))
 
 
-@dataclass(frozen=True, slots=True)
-class Monomial:
+class Monomial(NamedTuple):
     """A canonical monomial over the generators of one presentation.
 
     `even` holds the exponent of the generator at each position, with no
@@ -87,27 +97,65 @@ def add_exps(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(add, a, b)) + a[len(b):]
 
 
-@dataclass(frozen=True)
-class AlgebraPresentation:
+class Frozen:
+    """Base of the value classes that carry private caches, which rules out
+    a NamedTuple.  `_fields` names the public fields: they alone are
+    compared, hashed and shown.  Attributes are set once, through
+    `_set`, in `__init__`."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, **values):
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):  # so copy and pickle rebuild through __init__
+        return type(self), self._key()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class AlgebraPresentation(Frozen):
     """Generators, coefficient prime, and a set of killed generators.
 
     Killing a generator imposes the monomial ideal it generates: any
     monomial containing it reduces to zero.
     """
 
-    modulus: Prime
-    generators: tuple[GeneratorSpec, ...]
-    killed_generators: frozenset[str] = frozenset()
-    _pos: dict = field(init=False, repr=False, compare=False, default=None)
+    __slots__ = ("modulus", "generators", "killed_generators", "_pos")
+    _fields = ("modulus", "generators", "killed_generators")
 
-    def __post_init__(self):
-        names = [g.name for g in self.generators]
+    def __init__(self, modulus: Prime, generators: tuple[GeneratorSpec, ...],
+                 killed_generators: frozenset[str] = frozenset()):
+        names = [g.name for g in generators]
         if len(set(names)) != len(names):
             raise ValueError("duplicate generator names")
-        unknown = self.killed_generators - set(names)
+        unknown = killed_generators - set(names)
         if unknown:
             raise ValueError(f"killed generators not in presentation: {sorted(unknown)}")
-        object.__setattr__(self, "_pos", {g.name: i for i, g in enumerate(self.generators)})
+        self._set(modulus=modulus, generators=generators,
+                  killed_generators=killed_generators,
+                  _pos={g.name: i for i, g in enumerate(generators)})
 
     # -- generator lookups ------------------------------------------------
 

@@ -12,13 +12,13 @@ obstructions consume.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations
 from types import MappingProxyType
+from typing import NamedTuple
 
-from .algebra import (AlgebraPresentation, GeneratorSpec, Monomial, add_exps,
-                      iter_monomials, odd_gen)
+from .algebra import (AlgebraPresentation, Frozen, GeneratorSpec, Monomial,
+                      add_exps, iter_monomials, odd_gen)
 from .linalg import Vector, quotient_basis, rank_and_kernel
 from .modp import Prime
 from .models import GroupModel
@@ -26,31 +26,29 @@ from .models import GroupModel
 ChainBasisElement = tuple[Monomial, tuple[int, ...]]  # module part, dc indices
 
 
-@dataclass(frozen=True)
-class KoszulComplex:
+class KoszulComplex(Frozen):
     """Chain data for Tor^{F_p[base]}(F_p, module).
 
     The base-field factor is collapsed to F_p in bidegree (0, 0): the
     obstruction arguments live entirely in that reduced summand.
     """
 
-    modulus: Prime
-    base: tuple[GeneratorSpec, ...]
-    module: AlgebraPresentation
-    # sorted module monomials by weight, built once per complex
-    _monomials: dict = field(init=False, repr=False, compare=False,
-                             default_factory=dict)
+    __slots__ = ("modulus", "base", "module", "_units", "_monomials")
+    _fields = ("modulus", "base", "module")
+
+    def __init__(self, modulus: Prime, base: tuple[GeneratorSpec, ...],
+                 module: AlgebraPresentation):
+        killed = module.killed_generators
+        # _units: exponent tuple of each surviving base generator, by weight;
+        # _monomials: sorted module monomials by weight, built once per complex
+        self._set(modulus=modulus, base=base, module=module,
+                  _units={g.bidegree.weight: (0,) * k + (1,)
+                          for k, g in enumerate(base) if g.name not in killed},
+                  _monomials={})
 
     @property
     def base_indices(self) -> tuple[int, ...]:
         return tuple(g.bidegree.weight for g in self.base)
-
-    @cached_property
-    def _units(self) -> dict[int, tuple[int, ...]]:
-        """Exponent tuple of each surviving base generator, by weight."""
-        killed = self.module.killed_generators
-        return {g.bidegree.weight: (0,) * k + (1,)
-                for k, g in enumerate(self.base) if g.name not in killed}
 
     def module_monomials(self, weight: int) -> list[Monomial]:
         """Module monomials of the given weight, in the module's sort order."""
@@ -110,14 +108,12 @@ def build_koszul(base: list[GeneratorSpec], module: AlgebraPresentation) -> Kosz
     return KoszulComplex(module.modulus, tuple(base), module)
 
 
-@dataclass(frozen=True, slots=True)
-class TorEntry:
+class TorEntry(NamedTuple):
     dimension: int
     basis: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class TorTable:
+class TorTable(NamedTuple):
     """Bigraded Tor dimensions with named coset-representative bases.
 
     Keys are (homological index i, internal degree q, weight j); here all
@@ -127,10 +123,8 @@ class TorTable:
 
     modulus: int
     degree_bound: int
-    entries: Mapping[tuple[int, int, int], TorEntry] = field(
-        default_factory=lambda: MappingProxyType({}))
-    chain_dims: Mapping[tuple[int, int, int], int] = field(
-        default_factory=lambda: MappingProxyType({}))
+    entries: Mapping[tuple[int, int, int], TorEntry] = MappingProxyType({})
+    chain_dims: Mapping[tuple[int, int, int], int] = MappingProxyType({})
 
     def rows(self) -> list[tuple[tuple[int, int, int], TorEntry]]:
         return sorted(self.entries.items(),

@@ -7,8 +7,8 @@ Odd generator aJ sits in bidegree (2J - 1, J); even cJ in (2J, J).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .algebra import AlgebraPresentation, GeneratorSpec, even_gen, odd_gen
 from .modp import Prime
@@ -20,18 +20,24 @@ class TorsionPrimeError(ValueError):
     """Raised for (family, p) pairs the theory does not cover (SO at p = 2)."""
 
 
-@dataclass(frozen=True, slots=True)
-class GroupModel:
-    """A named family member: GL_n, Sp_2n, or SO_{2n+1} with rank parameter n."""
-
+class _GroupModel(NamedTuple):
     family: str
     n: int
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.n < 0:
+
+class GroupModel(_GroupModel):
+    """A named family member: GL_n, Sp_2n, or SO_{2n+1} with rank parameter n."""
+
+    __slots__ = ()
+
+    def __new__(cls, family: str, n: int):
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        if n < 0:
             raise ValueError("rank parameter must be nonnegative")
+        return super().__new__(cls, family, n)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def generator_indices(self) -> range:
         """Indices J such that aJ / cJ are generators for this model, in

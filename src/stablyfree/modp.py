@@ -4,7 +4,7 @@ and the combined divisibility moduli N_q built from them."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 def is_prime(n: int) -> bool:
@@ -28,15 +28,21 @@ def primes_upto(bound: int) -> list[int]:
     return [n for n in range(2, bound + 1) if is_prime(n)]
 
 
-@dataclass(frozen=True, slots=True)
-class Prime:
-    """A verified prime, used as the coefficient-field characteristic."""
-
+class _Prime(NamedTuple):
     value: int
 
-    def __post_init__(self):
-        if not isinstance(self.value, int) or not is_prime(self.value):
-            raise ValueError(f"{self.value!r} is not prime")
+
+class Prime(_Prime):
+    """A verified prime, used as the coefficient-field characteristic."""
+
+    __slots__ = ()
+
+    def __new__(cls, value: int):
+        if not isinstance(value, int) or not is_prime(value):
+            raise ValueError(f"{value!r} is not prime")
+        return super().__new__(cls, value)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __str__(self) -> str:
         return str(self.value)

@@ -14,7 +14,7 @@ one-sided, and reports say so.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .koszul import homogeneous_space_odd_basis
 from .modp import Prime, binom_mod_p, exponent_n, raynaud_number
@@ -26,8 +26,15 @@ NO_OBSTRUCTION = "no_obstruction_found"
 NO_OBSTRUCTION_TEXT = "no obstruction found by this method"
 
 
-@dataclass(frozen=True, slots=True)
-class SectionQuery:
+class _SectionQuery(NamedTuple):
+    family: str
+    n: int
+    p: Prime
+    a: int = 0
+    b: int = 0
+
+
+class SectionQuery(_SectionQuery):
     """A quotient-map shape plus the coefficient characteristic.
 
     GL: the map GL_n/GL_a -> GL_n/GL_b (a = 0 is the group itself).
@@ -35,20 +42,18 @@ class SectionQuery:
     p > 2 only.
     """
 
-    family: str
-    n: int
-    p: Prime
-    a: int = 0
-    b: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        self.model.check_prime(self.p)
-        if self.family == "GL":
-            if not (0 <= self.a <= self.b <= self.n):
-                raise ValueError(f"need 0 <= a <= b <= n, got a={self.a}, "
-                                 f"b={self.b}, n={self.n}")
-        elif self.n < 1:
+    def __new__(cls, family: str, n: int, p: Prime, a: int = 0, b: int = 0):
+        GroupModel(family, n).check_prime(p)
+        if family == "GL":
+            if not (0 <= a <= b <= n):
+                raise ValueError(f"need 0 <= a <= b <= n, got a={a}, b={b}, n={n}")
+        elif n < 1:
             raise ValueError("rank must be at least 1")
+        return super().__new__(cls, family, n, p, a, b)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     @property
     def model(self) -> GroupModel:
@@ -72,29 +77,34 @@ class SectionQuery:
         return f"SO_{2*self.n+1} -> SO_{2*self.n+1}/SO_{2*self.n-1} at p={self.p}"
 
 
-@dataclass(frozen=True, slots=True)
-class Witness:
-    """An operation P^op carrying killed generator a_source onto the
-    surviving generator a_target with the given nonzero residue mod p."""
-
+class _Witness(NamedTuple):
     source: int
     op: int
     target: int
     residue: int
 
-    def __post_init__(self):
-        if self.op < 1:
+
+class Witness(_Witness):
+    """An operation P^op carrying killed generator a_source onto the
+    surviving generator a_target with the given nonzero residue mod p."""
+
+    __slots__ = ()
+
+    def __new__(cls, source: int, op: int, target: int, residue: int):
+        if op < 1:
             raise ValueError("witness operation index must be at least 1")
-        if not self.residue:
+        if not residue:
             raise ValueError("witness residue must be nonzero")
+        return super().__new__(cls, source, op, target, residue)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def describe(self) -> str:
         return (f"P^{self.op}(a{self.source}) = {self.residue}*a{self.target}"
                 f" survives in the target")
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
     query: SectionQuery
     witnesses: tuple[Witness, ...]
     method: str  # "combinatorial" | "cohomological"
@@ -132,7 +142,7 @@ class ObstructionReport:
             },
             "method": self.method,
             "verdict": self.verdict,
-            "witnesses": [asdict(w) for w in self.witnesses],
+            "witnesses": [w._asdict() for w in self.witnesses],
             "extrapolated": self.extrapolated,
         }
 
@@ -217,8 +227,7 @@ def check_cohomological(query: SectionQuery) -> ObstructionReport:
                              _is_extrapolated(query))
 
 
-@dataclass(frozen=True)
-class DivisibilityScan:
+class DivisibilityScan(NamedTuple):
     """Scan of GL_n/GL_{n-q} -> GL_n/GL_{n-1} over a range of n, compared
     with the single-prime divisor p^(1 + n(p, q))."""
 

@@ -13,9 +13,7 @@ verification harness checks the two engines against the defining axioms.
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
 from operator import mul
@@ -154,16 +152,29 @@ def decomposable_quotient(x: Element) -> Element:
 AXIOMS = ("unit", "pth_power", "instability", "cartan", "adem")
 
 
-@dataclass(slots=True)
+def _fields_equal(self, other) -> bool:
+    """Field-by-field equality of two records of one class.  The records
+    are mutable, so they are not hashable."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
+
+
 class AxiomCheck:
     """One identity lhs = rhs between polynomials in c_1, c_2, ..., each
     side kept as {exps: residue mod p} and rendered only when read."""
 
-    description: str
-    p: int
-    lhs_terms: dict[Exps, int]
-    rhs_terms: dict[Exps, int]
-    passed: bool
+    __slots__ = ("description", "p", "lhs_terms", "rhs_terms", "passed")
+
+    def __init__(self, description: str, p: int, lhs_terms: dict[Exps, int],
+                 rhs_terms: dict[Exps, int], passed: bool):
+        self.description = description
+        self.p = p
+        self.lhs_terms = lhs_terms
+        self.rhs_terms = rhs_terms
+        self.passed = passed
+
+    __eq__, __hash__ = _fields_equal, None
 
     @property
     def lhs(self) -> str:
@@ -180,12 +191,17 @@ def _render(p: int, terms: dict[Exps, int]) -> str:
         {Monomial(e, ()): c for e, c in terms.items()}).render()
 
 
-@dataclass(slots=True)
 class AxiomReport:
-    axiom: str
-    p: int
-    degree_bound: int
-    checks: list[AxiomCheck] = field(default_factory=list)
+    __slots__ = ("axiom", "p", "degree_bound", "checks")
+
+    def __init__(self, axiom: str, p: int, degree_bound: int,
+                 checks: list[AxiomCheck] | None = None):
+        self.axiom = axiom
+        self.p = p
+        self.degree_bound = degree_bound
+        self.checks = [] if checks is None else checks
+
+    __eq__, __hash__ = _fields_equal, None
 
     @property
     def passed(self) -> bool:
@@ -225,6 +241,7 @@ def _test_classes(p: Prime, degree_bound: int,
                   n_generators: int) -> list[tuple[str, Element]]:
     """Deterministic pool: every generator, plus a few random products and
     random homogeneous sums per weight."""
+    import random  # here, so that importing the package does not load it
     rng = random.Random(_POOL_SEED)
     alg = polynomial_algebra(p, n_generators)
     pool: list[tuple[str, Element]] = []
@@ -307,6 +324,7 @@ def verify_axiom(axiom: str, p: Prime, degree_bound: int,
                 n += 1
 
     elif axiom == "cartan":
+        import random
         rng = random.Random(_POOL_SEED + 1)
         # bound 0 leaves the pool empty, and so no pairs to draw
         pairs = [(*rng.choice(pool), *rng.choice(pool)) for _ in range(12 if pool else 0)]

@@ -21,6 +21,10 @@ where P^j(c_j) = c_j^p, is returned directly.
 Everything is in the stable range: with at least as many roots as the
 total degree, no coefficient depends on the number of roots, so none is
 passed.
+
+The sum runs over a number of partitions that grows fast with p and i, so
+it is counted first, in O(i p^2) steps, and refused above
+MAX_SEED_PARTITIONS.
 """
 
 from __future__ import annotations
@@ -28,6 +32,56 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from math import comb, factorial, prod
+
+
+# the most partitions a seed may sum over: P^3(c6) at p = 7 sums over 703,
+# and P^5(c6) at p = 11 over 167 672, which took 11 s and 180 MB
+MAX_SEED_PARTITIONS = 100_000
+# When 46 <= min(i(p-1), W/2, p-1), each of the P(46) = 105 558 partitions
+# mu of 46 gives one partition of the sum, (W - 46, mu), so the count is over
+# the cap and is not taken.  From p = 97 on, that holds whenever 0 < i < j.
+_UNCOUNTED_PART, _UNCOUNTED_LEAST = 46, 105_558
+
+
+def _box(n: int, parts: int, largest: int) -> list[int]:
+    """Entry m is the number of partitions of m into at most `parts` parts
+    of size at most `largest`, for m <= n: the Gaussian binomial
+    [parts + largest choose parts]_q = prod_{k=1}^{parts} (1 - q^(largest+k))
+    / (1 - q^k), multiplied out on power series cut after q^n."""
+    series = [1] + [0] * n
+    for k in range(1, parts + 1):
+        for d in range(n, largest + k - 1, -1):  # times 1 - q^(largest + k)
+            series[d] -= series[d - largest - k]
+        for d in range(k, n + 1):  # over 1 - q^k
+            series[d] += series[d - k]
+    return series
+
+
+def seed_partition_count(p: int, i: int, j: int) -> int:
+    """How many partitions the sum for P^i(c_j) runs over: those of
+    W = j + i(p-1) into at most p parts with J_1 >= j (0 <= i < j).
+    O(p * i(p-1)) steps, whatever j is."""
+    rest = i * (p - 1)  # the most the parts after J_1 add up to
+    if j >= rest:
+        # J_1 >= j bounds no other part, so the rest is any partition of
+        # some r <= rest into at most p - 1 parts
+        return sum(_box(rest, p - 1, rest))
+    weight = j + rest  # < 2 rest
+    return _box(weight, p, weight)[weight] - _box(weight, p, j - 1)[weight]
+
+
+def _check_size(p: int, i: int, j: int):
+    """Raise ValueError when the sum for P^i(c_j) would run over more than
+    MAX_SEED_PARTITIONS partitions."""
+    rest = i * (p - 1)
+    if min(rest, (j + rest) // 2, p - 1) >= _UNCOUNTED_PART:
+        count = f"more than {_UNCOUNTED_LEAST}"
+    else:
+        count = seed_partition_count(p, i, j)
+        if count <= MAX_SEED_PARTITIONS:
+            return
+    raise ValueError(f"P^{i}(c{j}) at p={p} sums over {count} partitions, "
+                     f"more than the cap of {MAX_SEED_PARTITIONS}")
 
 
 def _partitions(n: int, largest: int, parts: int):
@@ -44,13 +98,17 @@ def _partitions(n: int, largest: int, parts: int):
 @lru_cache(maxsize=None)
 def reduced_power_on_elementary(p: int, i: int, j: int) -> dict[tuple[int, ...], int]:
     """P^i(c_j) as {exps: residue mod p}, where exps[k-1] is the exponent
-    of c_k (no trailing zeros).  Cached; do not mutate the result."""
+    of c_k (no trailing zeros).  Cached; do not mutate the result.
+
+    Raises ValueError, before any summing, when the sum would run over more
+    than MAX_SEED_PARTITIONS partitions."""
     if i > j:
         return {}
     if not j:
         return {(): 1}
     if i == j:  # the p-th power axiom: P^j(c_j) = c_j^p
         return {(0,) * (j - 1) + (p,): 1}
+    _check_size(p, i, j)
     weight = j + i * (p - 1)
 
     # a polynomial in sigma is its coefficient list, cut after degree i and

@@ -184,10 +184,12 @@ def test_model_from_matrix_size():
     assert model_from_matrix_size("GL", 6).n == 6
     assert model_from_matrix_size("Sp", 4).n == 2
     assert model_from_matrix_size("SO", 5).n == 2
-    with pytest.raises(ValueError):
-        model_from_matrix_size("Sp", 5)
-    with pytest.raises(ValueError):
-        model_from_matrix_size("SO", 4)
+    for family, size in [("Sp", 5), ("SO", 4), ("XX", 1)]:
+        with pytest.raises(ValueError):
+            model_from_matrix_size(family, size)
+    for family, n in [("XX", 1), ("GL", -1)]:
+        with pytest.raises(ValueError):
+            GroupModel(family, n)
 
 
 # -- positional monomials: names only at the boundary -------------------------

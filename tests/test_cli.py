@@ -95,10 +95,18 @@ def test_steenrod_errors_exit_two():
         ("steenrod", "-p", "2", "--op", "1"),                      # no input
         ("steenrod", "-p", "2", "--group", "GL:3", "--class", "c1", "--op", "1"),
         ("steenrod", "-p", "2", "--group", "GL3", "--class", "a1", "--op", "1"),
+        ("steenrod", "-p", "11", "--poly", "c7", "--op", "6"),    # seed over the cap
     ]
     for argv in cases:
         code, _, err = run_cli(*argv)
         assert code == 2 and err, argv
+
+
+def test_steenrod_seed_cap_names_count_and_cap():
+    code, out, err = run_cli("steenrod", "-p", "11", "--poly", "c7", "--op", "6")
+    assert (code, out) == (2, "")
+    assert err == ("error: P^6(c7) at p=11 sums over 567377 partitions, "
+                   "more than the cap of 100000\n")
 
 
 def test_steenrod_json():
@@ -286,6 +294,19 @@ def test_subprocess_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "a4\n"
+
+
+def test_import_loads_no_heavy_stdlib_modules():
+    # every CLI call is a fresh process, so its import is paid on each one;
+    # -S keeps site-packages from loading any of these first
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, stablyfree.cli; "
+         "print(sorted({'dataclasses', 'inspect', 'random'} & set(sys.modules)))"],
+        capture_output=True, text=True,
+        env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_main_reuses_one_parser(monkeypatch):

@@ -64,10 +64,9 @@ def test_witness_soundness():
 
 
 def test_witness_validation():
-    with pytest.raises(ValueError):
-        Witness(2, 0, 2, 1)
-    with pytest.raises(ValueError):
-        Witness(2, 1, 3, 0)
+    for bad in [(2, 0, 2, 1), (2, 1, 3, 0), (1, 0, 2, 1), (1, 1, 2, 0)]:
+        with pytest.raises(ValueError):
+            Witness(*bad)
     w = Witness(2, 1, 4, 1)  # P^1(a2) = a4 at p = 3
     assert (w.source, w.op, w.target, w.residue) == (2, 1, 4, 1)
     assert w.describe() == "P^1(a2) = 1*a4 survives in the target"

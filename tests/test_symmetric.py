@@ -4,7 +4,9 @@ from itertools import combinations, permutations
 import pytest
 
 import symmetric_oracle
-from stablyfree.symmetric import reduced_power_on_elementary
+from stablyfree import symmetric
+from stablyfree.symmetric import (MAX_SEED_PARTITIONS, reduced_power_on_elementary,
+                                  seed_partition_count)
 from symmetric_oracle import (elementary_monomial_expansion, mul_by_elementary,
                               to_elementary_basis)
 
@@ -137,3 +139,61 @@ def test_reduced_power_seeds_have_at_most_p_factors():
                 seeds += 1
                 at_bound += max(factors) == p
     assert (seeds, at_bound) == (140, 104)
+
+
+def _partitions_at_most(n, parts, largest):
+    # every partition of n into at most `parts` parts of size at most `largest`
+    if n == 0:
+        return [()]
+    if parts == 0:
+        return []
+    return [(first,) + rest for first in range(min(n, largest), 0, -1)
+            for rest in _partitions_at_most(n - first, parts - 1, first)]
+
+
+def test_seed_partition_count_matches_enumeration():
+    # the partitions of W = j + i(p-1) into at most p parts with J_1 >= j
+    seeds = 0
+    for p in (2, 3, 5, 7, 11):
+        for j in range(1, 12):
+            for i in range(j):
+                weight = j + i * (p - 1)
+                if weight > 30:
+                    continue
+                want = sum(lam[0] >= j for lam in _partitions_at_most(weight, p, weight))
+                assert seed_partition_count(p, i, j) == want, (p, i, j)
+                seeds += 1
+    assert seeds == 250
+
+
+def test_seed_partition_counts():
+    assert seed_partition_count(11, 5, 6) == 167_672
+    assert seed_partition_count(11, 6, 7) == 567_377
+    assert seed_partition_count(31, 2, 3) == 1_470_028
+    assert seed_partition_count(31, 1, 5) == 14_442
+    assert seed_partition_count(5, 1, 200) == 12
+    assert seed_partition_count(7, 3, 6) == 703  # the CI seed P^3(c6)
+    # seeds refused uncounted sum over more than P(46) partitions
+    assert len(_partitions_at_most(46, 46, 46)) == symmetric._UNCOUNTED_LEAST
+    assert symmetric._UNCOUNTED_LEAST > MAX_SEED_PARTITIONS
+    for p, i, j in [(97, 1, 2), (47, 1, 47), (47, 2, 3), (89, 1, 200)]:
+        assert seed_partition_count(p, i, j) > symmetric._UNCOUNTED_LEAST, (p, i, j)
+
+
+def test_oversized_seeds_raise_before_summing(monkeypatch):
+    def no_summing(*args):
+        raise AssertionError("the seed started summing")
+
+    monkeypatch.setattr(symmetric, "_partitions", no_summing)
+    for p, i, j, count in [(11, 5, 6, "167672"), (11, 6, 7, "567377"),
+                           (31, 2, 3, "1470028"), (97, 1, 2, "more than 105558"),
+                           (10007, 3, 20, "more than 105558"),
+                           (89, 1000, 1001, "more than 105558")]:
+        with pytest.raises(ValueError, match=f"P\\^{i}\\(c{j}\\) at p={p} sums over "
+                           f"{count} partitions, more than the cap of 100000"):
+            reduced_power_on_elementary(p, i, j)
+    monkeypatch.undo()
+    # the diagonal, the identity and out-of-range seeds are never refused
+    assert reduced_power_on_elementary(10007, 5, 5) == {(0, 0, 0, 0, 10007): 1}
+    assert reduced_power_on_elementary(10007, 0, 5) == {(0, 0, 0, 0, 1): 1}
+    assert reduced_power_on_elementary(10007, 6, 5) == {}
