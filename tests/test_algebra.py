@@ -156,6 +156,34 @@ def test_rendering_is_deterministic_and_sorted():
     assert alg.scalar(2).render() == "2"
 
 
+def test_odd_factor_renders_last():
+    # positions interleave (c1, a1, c2, a2, ...), so a2 precedes c3 by
+    # position; text and JSON still put the odd factor after the even ones
+    alg = gl_algebra(P3, 4)
+    assert [g.name for g in alg.generators] == ["c1", "a1", "c2", "a2",
+                                                "c3", "a3", "c4", "a4"]
+    x = (alg.gen("c1") * alg.gen("c3") ** 2 * alg.gen("a2") * 2
+         + alg.gen("c2") * alg.gen("a1"))
+    assert x.render() == "2*c1*c3^2*a2 + c2*a1"
+    assert x.to_json() == {"modulus": 3, "terms": [
+        {"coefficient": 2, "even": [["c1", 1], ["c3", 2]], "odd": ["a2"]},
+        {"coefficient": 1, "even": [["c2", 1]], "odd": ["a1"]}]}
+
+
+def test_make_monomial_error_order():
+    # even names are read first: a killed one makes the monomial zero
+    # before the odd names are counted
+    alg = gl_algebra(P3, 5, killed={"c2"})
+    assert alg.make_monomial({"c2": 1}, odd=["a1", "a3"]) is None
+    assert alg.monomial_element({"c2": 1}, odd=["a1", "a3"]).is_zero()
+    with pytest.raises(ValueError, match=SECOND_ODD_FACTOR):
+        alg.make_monomial({"c1": 1}, odd=["a1", "a3"])
+    with pytest.raises(ValueError, match="a1 is not an even generator"):
+        alg.make_monomial({"a1": 1}, odd=["a1", "a3"])
+    with pytest.raises(ValueError, match="c1 is not an odd generator"):
+        alg.make_monomial(odd=["c1"])
+
+
 def test_group_model_tables():
     gl = GroupModel("GL", 4)
     assert [g.name for g in gl.odd_generators()] == ["a1", "a2", "a3", "a4"]

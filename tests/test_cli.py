@@ -34,10 +34,25 @@ def test_parse_polynomial_round_trips():
 def test_parse_polynomial_rejects_garbage():
     from stablyfree.cli import CliError
     p = Prime(3)
-    for bad in ["", "c2 +", "a2", "c1 ** 2", "c1 ^", "(c1)", "^2", "c0",
-                "c1^^2", "c2*", "*c2", "c1 c2"]:
-        with pytest.raises(CliError):
+    chern_only = "only Chern-class generators cJ (J >= 1) are allowed, got "
+    cases = {
+        "": "empty polynomial",
+        "c2 +": "dangling operator in polynomial",
+        "a2": chern_only + "'a2'",
+        "c1 ** 2": "misplaced '*' in polynomial",
+        "c1 ^": "'^' must be followed by an integer",
+        "(c1)": "cannot parse polynomial near '(c1)'",
+        "^2": "unexpected token '^' in polynomial",
+        "c0": chern_only + "'c0'",
+        "c1^^2": "'^' must be followed by an integer",
+        "c2*": "dangling operator in polynomial",
+        "*c2": "misplaced '*' in polynomial",
+        "c1 c2": "unexpected token 'c2' (missing '*'?)",
+    }
+    for bad, message in cases.items():
+        with pytest.raises(CliError) as exc:
             parse_polynomial(bad, p)
+        assert str(exc.value) == message, bad
 
 
 def test_parse_polynomial_scalars_and_cancellation():

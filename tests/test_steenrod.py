@@ -130,6 +130,21 @@ def test_additivity():
             assert lhs.terms == rhs.terms
 
 
+def test_polynomial_action_rejects_odd_terms_and_other_algebras():
+    gens = []
+    for a, c in zip(GroupModel("GL", 3).odd_generators(),
+                    GroupModel("GL", 3).even_generators()):
+        gens.extend([c, a])
+    alg = AlgebraPresentation(P3, tuple(gens))
+    with pytest.raises(ValueError) as exc:
+        apply_P_polynomial(1, alg.gen("c1") + alg.gen("a2"), P3)
+    assert str(exc.value) == "element involves odd generators; use the primitive action"
+    for x in (alg.gen("c1"), alg.zero(), GroupModel("GL", 3).group_algebra(P3).zero()):
+        with pytest.raises(ValueError) as exc:
+            apply_P_polynomial(1, x, P3)
+        assert str(exc.value) == "expected an element of a polynomial algebra in c1, c2, ..."
+
+
 # -- agreement with the brute-force root-expansion oracle --------------------
 
 def _as_exponent_map(element):
