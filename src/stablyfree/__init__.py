@@ -3,7 +3,7 @@ classes, Koszul-homology Tor tables, and section obstructions for
 quotient maps of the classical split groups."""
 
 from .algebra import (AlgebraPresentation, Bidegree, Element, GeneratorSpec,
-                      INHOMOGENEOUS, Monomial, bidegree_of, polynomial_algebra)
+                      INHOMOGENEOUS, bidegree_of, polynomial_algebra)
 from .koszul import (KoszulComplex, TorTable, build_koszul,
                      homogeneous_space_odd_basis, homogeneous_space_tor,
                      koszul_homology)
@@ -18,7 +18,7 @@ from .steenrod import (apply_P_polynomial, apply_P_primitive,
 __all__ = [
     "AlgebraPresentation", "Bidegree", "DivisibilityScan", "Element",
     "GeneratorSpec", "GroupModel", "INHOMOGENEOUS", "KoszulComplex",
-    "Monomial", "ObstructionReport", "Prime", "SectionQuery",
+    "ObstructionReport", "Prime", "SectionQuery",
     "TorTable", "TorsionPrimeError", "Witness",
     "apply_P_polynomial", "apply_P_primitive", "bidegree_of", "binom_mod_p",
     "build_koszul", "check_cohomological", "check_gl_quotient",

@@ -6,6 +6,12 @@ all the primitive classes a_m of the obstructions need, and a product of
 two odd classes raises ValueError.  A monomial ideal may kill some
 generators outright.  Everything is kept in a canonical sparse form so that
 equality is structural.
+
+A monomial is its exponent tuple over the generator positions of one
+presentation, with no trailing zeros; for `polynomial_algebra`, entry k - 1
+is the exponent of c_k.  An odd generator's entry is 0 or 1, and at most one
+odd entry is nonzero.  Positions only mean something relative to a
+presentation, which owns the names, the ordering and the parities.
 """
 
 from __future__ import annotations
@@ -73,24 +79,10 @@ def odd_gen(name: str, weight: int) -> GeneratorSpec:
     return GeneratorSpec(name, "odd", Bidegree(2 * weight - 1, weight))
 
 
-class Monomial(NamedTuple):
-    """A canonical monomial over the generators of one presentation.
-
-    `even` holds the exponent of the generator at each position, with no
-    trailing zeros (odd positions hold 0); `odd` holds the position of the
-    odd factor, if there is one (a tuple of length at most one).  Positions
-    only mean something relative to a presentation, which owns the names
-    and the ordering; for `polynomial_algebra`, position k - 1 is c_k.
-    """
-
-    even: tuple[int, ...]
-    odd: tuple[int, ...]
+Exps = tuple[int, ...]  # a monomial
 
 
-UNIT_MONOMIAL = Monomial((), ())
-
-
-def add_exps(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+def add_exps(a: Exps, b: Exps) -> Exps:
     """Entrywise sum of two exponent tuples of any lengths."""
     if len(a) < len(b):
         a, b = b, a
@@ -142,7 +134,7 @@ class AlgebraPresentation(Frozen):
     monomial containing it reduces to zero.
     """
 
-    __slots__ = ("modulus", "generators", "killed_generators", "_pos")
+    __slots__ = ("modulus", "generators", "killed_generators", "_pos", "_odd")
     _fields = ("modulus", "generators", "killed_generators")
 
     def __init__(self, modulus: Prime, generators: tuple[GeneratorSpec, ...],
@@ -155,7 +147,8 @@ class AlgebraPresentation(Frozen):
             raise ValueError(f"killed generators not in presentation: {sorted(unknown)}")
         self._set(modulus=modulus, generators=generators,
                   killed_generators=killed_generators,
-                  _pos={g.name: i for i, g in enumerate(generators)})
+                  _pos={g.name: i for i, g in enumerate(generators)},
+                  _odd=tuple(k for k, g in enumerate(generators) if g.parity == "odd"))
 
     # -- generator lookups ------------------------------------------------
 
@@ -168,17 +161,35 @@ class AlgebraPresentation(Frozen):
     def spec(self, name: str) -> GeneratorSpec:
         return self.generators[self.position(name)]
 
-    def named_factors(self, m: Monomial) -> tuple[list[tuple[str, int]], list[str]]:
+    def odd_position(self, m: Exps) -> int | None:
+        """Position of the odd factor of m, or None when it has none."""
+        return next((k for k in self._odd if k < len(m) and m[k]), None)
+
+    def has_odd_factor(self, monomials: Iterable[Exps]) -> bool:
+        """Whether some monomial among `monomials` has an odd factor."""
+        return bool(self._odd) and any(self.odd_position(m) is not None
+                                       for m in monomials)
+
+    def sort_key(self, m: Exps) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+        """The (position, exponent) pairs of the even factors of m, then the
+        position of its odd factor, if any: the order of rendered terms."""
+        odd = self.odd_position(m) if self._odd else None
+        if odd is None:
+            return tuple((k, e) for k, e in enumerate(m) if e), ()
+        return tuple((k, e) for k, e in enumerate(m) if e and k != odd), (odd,)
+
+    def named_factors(self, m: Exps) -> tuple[list[tuple[str, int]], list[str]]:
         """The names behind a positional monomial: (name, exponent) pairs of
-        the even part and the names of the odd part, in generator order."""
+        the even factors in generator order, and the name of the odd factor
+        if there is one."""
         gens = self.generators
-        return ([(gens[k].name, e) for k, e in enumerate(m.even) if e],
-                [gens[k].name for k in m.odd])
+        even, odd = self.sort_key(m)
+        return [(gens[k].name, e) for k, e in even], [gens[k].name for k in odd]
 
     # -- monomial construction and arithmetic ------------------------------
 
     def make_monomial(self, even: dict[str, int] | None = None,
-                      odd: Iterable[str] = ()) -> Monomial | None:
+                      odd: Iterable[str] = ()) -> Exps | None:
         """Canonicalize generator data, given by name, into a monomial.
 
         Returns None when a killed generator appears; a second odd name
@@ -195,10 +206,6 @@ class AlgebraPresentation(Frozen):
             if name in self.killed_generators:
                 return None
             exps[self.position(name)] = exp
-        even_part = [0] * (max(exps) + 1 if exps else 0)
-        for k, exp in exps.items():
-            even_part[k] = exp
-
         odd = tuple(odd)
         if len(odd) > 1:
             raise ValueError(SECOND_ODD_FACTOR)
@@ -207,31 +214,19 @@ class AlgebraPresentation(Frozen):
                 raise ValueError(f"{name} is not an odd generator")
             if name in self.killed_generators:
                 return None
-        return Monomial(tuple(even_part), tuple(map(self.position, odd)))
+            exps[self.position(name)] = 1
+        out = [0] * (max(exps) + 1 if exps else 0)
+        for k, exp in exps.items():
+            out[k] = exp
+        return tuple(out)
 
-    def mul_monomials(self, a: Monomial, b: Monomial) -> Monomial:
-        """Product of two canonical monomials, at most one of them odd."""
-        if a.odd and b.odd:
-            raise ValueError(SECOND_ODD_FACTOR)
-        return Monomial(add_exps(a.even, b.even), a.odd or b.odd)
-
-    def mono_bidegree(self, m: Monomial) -> Bidegree:
+    def mono_bidegree(self, m: Exps) -> Bidegree:
         deg = wt = 0
-        gens = self.generators
-        for k, exp in enumerate(m.even):
+        for g, exp in zip(self.generators, m):
             if exp:
-                b = gens[k].bidegree
-                deg += exp * b.degree
-                wt += exp * b.weight
-        for k in m.odd:
-            b = gens[k].bidegree
-            deg += b.degree
-            wt += b.weight
+                deg += exp * g.bidegree.degree
+                wt += exp * g.bidegree.weight
         return Bidegree(deg, wt)
-
-    @staticmethod
-    def sort_key(m: Monomial):
-        return tuple((k, e) for k, e in enumerate(m.even) if e), m.odd
 
     # -- element construction ----------------------------------------------
 
@@ -245,7 +240,7 @@ class AlgebraPresentation(Frozen):
                 and self.killed_generators == other.killed_generators
                 and self.generators[:len(other.generators)] == other.generators)
 
-    def from_terms(self, terms: dict[Monomial, int]) -> "Element":
+    def from_terms(self, terms: dict[Exps, int]) -> "Element":
         p = self.modulus.value
         clean = {}
         for mono, coeff in terms.items():
@@ -261,7 +256,7 @@ class AlgebraPresentation(Frozen):
         return self.scalar(1)
 
     def scalar(self, c: int) -> "Element":
-        return self.from_terms({UNIT_MONOMIAL: c})
+        return self.from_terms({(): c})
 
     def gen(self, name: str) -> "Element":
         if self.spec(name).parity == "even":
@@ -279,7 +274,8 @@ class AlgebraPresentation(Frozen):
 
 
 class Element:
-    """Sparse F_p-linear combination of canonical monomials.
+    """Sparse F_p-linear combination of canonical monomials, as a dict
+    {exps: residue mod p} without zero residues.
 
     Treated as immutable; arithmetic returns new elements.  Build through
     an AlgebraPresentation.
@@ -287,7 +283,7 @@ class Element:
 
     __slots__ = ("algebra", "terms")
 
-    def __init__(self, algebra: AlgebraPresentation, terms: dict[Monomial, int]):
+    def __init__(self, algebra: AlgebraPresentation, terms: dict[Exps, int]):
         self.algebra = algebra
         self.terms = terms
 
@@ -318,10 +314,12 @@ class Element:
         if isinstance(other, int):
             return self.algebra.from_terms({m: c * other for m, c in self.terms.items()})
         alg = self._merged_algebra(other)
-        out: dict[Monomial, int] = {}
+        if alg.has_odd_factor(self.terms) and alg.has_odd_factor(other.terms):
+            raise ValueError(SECOND_ODD_FACTOR)
+        out: dict[Exps, int] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                mono = alg.mul_monomials(m1, m2)
+                mono = add_exps(m1, m2)
                 out[mono] = out.get(mono, 0) + c1 * c2
         return alg.from_terms(out)
 
@@ -346,9 +344,13 @@ class Element:
 
     # -- inspection ---------------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[Monomial, int]]:
-        key = self.algebra.sort_key
-        return sorted(self.terms.items(), key=lambda t: key(t[0]))
+    def named_terms(self) -> Iterator[tuple[list[tuple[str, int]], list[str], int]]:
+        """(even (name, exponent) pairs, odd names, coefficient) of each
+        term, in the presentation's sort order."""
+        gens, key = self.algebra.generators, self.algebra.sort_key
+        # keys are distinct, so the coefficients are never compared
+        for (even, odd), c in sorted((key(m), c) for m, c in self.terms.items()):
+            yield [(gens[k].name, e) for k, e in even], [gens[k].name for k in odd], c
 
     # -- rendering ------------------------------------------------------------
 
@@ -356,19 +358,7 @@ class Element:
         """Deterministic plain-text form, e.g. '2*c1^3*a2 + c4'."""
         if self.is_zero():
             return "0"
-        parts = []
-        for mono, coeff in self.sorted_terms():
-            even, odd = self.algebra.named_factors(mono)
-            factors = [f"{n}^{e}" if e > 1 else n for n, e in even]
-            if odd:
-                factors.append("^".join(odd))
-            if not factors:
-                parts.append(str(coeff))
-            elif coeff == 1:
-                parts.append("*".join(factors))
-            else:
-                parts.append(f"{coeff}*" + "*".join(factors))
-        return " + ".join(parts)
+        return " + ".join(format_term(c, even, odd) for even, odd, c in self.named_terms())
 
     __str__ = render
 
@@ -376,12 +366,21 @@ class Element:
         return f"<Element {self.render()} mod {self.algebra.modulus}>"
 
     def to_json(self) -> dict:
-        terms = []
-        for m, c in self.sorted_terms():
-            even, odd = self.algebra.named_factors(m)
-            terms.append({"coefficient": c, "even": [[n, e] for n, e in even],
-                          "odd": odd})
+        terms = [{"coefficient": c, "even": [[n, e] for n, e in even], "odd": odd}
+                 for even, odd, c in self.named_terms()]
         return {"modulus": self.algebra.modulus.value, "terms": terms}
+
+
+def format_term(coeff: int, powers: list[tuple[str, int]], last: list[str]) -> str:
+    """One rendered term: the factors name^exp, then the names in `last`
+    joined by '^', led by the coefficient unless it is 1."""
+    factors = [f"{n}^{e}" if e > 1 else n for n, e in powers]
+    if last:
+        factors.append("^".join(last))
+    if not factors:
+        return str(coeff)
+    body = "*".join(factors)
+    return body if coeff == 1 else f"{coeff}*{body}"
 
 
 def bidegree_of(x: Element):
@@ -407,17 +406,18 @@ def polynomial_algebra(p: Prime, n: int) -> AlgebraPresentation:
     return AlgebraPresentation(p, gens)
 
 
-def iter_monomials(alg: AlgebraPresentation, weight: int) -> Iterator[Monomial]:
+def iter_monomials(alg: AlgebraPresentation, weight: int) -> Iterator[Exps]:
     """All canonical monomials of the given weight, in a deterministic
     order.  Killed generators are skipped; at most one factor is odd."""
     gens = [(k, g) for k, g in enumerate(alg.generators)
             if g.name not in alg.killed_generators]
     exps = [0] * len(alg.generators)
 
-    def rec(i: int, remaining: int, top: int, odd: tuple):
-        # top: length of the even exponent prefix set so far
+    def rec(i: int, remaining: int, top: int, odd: bool):
+        # top: length of the exponent prefix set so far; odd: whether it
+        # has an odd factor
         if remaining == 0:
-            yield Monomial(tuple(exps[:top]), odd)
+            yield tuple(exps[:top])
             return
         if i == len(gens):
             return
@@ -432,6 +432,8 @@ def iter_monomials(alg: AlgebraPresentation, weight: int) -> Iterator[Monomial]:
                 e += 1
             exps[k] = 0
         elif w <= remaining and not odd:
-            yield from rec(i + 1, remaining - w, top, (k,))
+            exps[k] = 1
+            yield from rec(i + 1, remaining - w, k + 1, True)
+            exps[k] = 0
 
-    yield from rec(0, weight, 0, ())
+    yield from rec(0, weight, 0, False)

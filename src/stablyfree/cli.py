@@ -14,7 +14,7 @@ import json
 import re
 import sys
 
-from .algebra import Element, polynomial_algebra
+from .algebra import Element, Exps, polynomial_algebra
 from .koszul import homogeneous_space_odd_basis, homogeneous_space_tor
 from .modp import Prime, is_prime
 from .models import GroupModel, TorsionPrimeError, model_from_matrix_size
@@ -61,7 +61,7 @@ def parse_polynomial(text: str, p: Prime) -> Element:
             indices.append(int(t[1:]))
     alg = polynomial_algebra(p, max(indices, default=1))
 
-    result = alg.zero()
+    terms: dict[Exps, int] = {}  # summed here, reduced once at the end
     i = 0
     sign = 1
 
@@ -109,8 +109,9 @@ def parse_polynomial(text: str, p: Prime) -> Element:
             sign = -1
             i += 1
         i, coeff, exps = parse_term(i)
-        result = result + alg.monomial_element(exps, coeff=sign * coeff)
-    return result
+        mono = alg.make_monomial(exps)  # never None: nothing is killed
+        terms[mono] = terms.get(mono, 0) + sign * coeff
+    return alg.from_terms(terms)
 
 
 def _emit_json(payload: dict):

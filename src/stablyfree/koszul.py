@@ -17,13 +17,13 @@ from itertools import combinations
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .algebra import (AlgebraPresentation, Frozen, GeneratorSpec, Monomial,
-                      add_exps, iter_monomials, odd_gen)
+from .algebra import (AlgebraPresentation, Exps, Frozen, GeneratorSpec, add_exps,
+                      format_term, iter_monomials, odd_gen)
 from .linalg import Vector, quotient_basis, rank_and_kernel
 from .modp import Prime
 from .models import GroupModel
 
-ChainBasisElement = tuple[Monomial, tuple[int, ...]]  # module part, dc indices
+ChainBasisElement = tuple[Exps, tuple[int, ...]]  # module monomial, dc indices
 
 
 class KoszulComplex(Frozen):
@@ -50,7 +50,7 @@ class KoszulComplex(Frozen):
     def base_indices(self) -> tuple[int, ...]:
         return tuple(g.bidegree.weight for g in self.base)
 
-    def module_monomials(self, weight: int) -> list[Monomial]:
+    def module_monomials(self, weight: int) -> list[Exps]:
         """Module monomials of the given weight, in the module's sort order."""
         monos = self._monomials.get(weight)
         if monos is None:
@@ -82,8 +82,7 @@ class KoszulComplex(Frozen):
                 unit = units.get(idx)
                 if unit is None:  # killed: the module term vanishes
                     continue
-                target = (Monomial(add_exps(mono.even, unit), ()),
-                          subset[:s] + subset[s + 1:])
+                target = add_exps(mono, unit), subset[:s] + subset[s + 1:]
                 sign = 1 if s % 2 == 0 else -1
                 row = codomain_index[target]
                 col[row] = (col.get(row, 0) + sign) % p
@@ -183,14 +182,9 @@ def _render_chain_vector(vec: Vector, basis: list[ChainBasisElement],
                          module: AlgebraPresentation) -> str:
     parts = []
     for row in sorted(vec):
-        coeff = vec[row]
         mono, subset = basis[row]
-        even, _ = module.named_factors(mono)
-        factors = [f"{n}^{e}" if e > 1 else n for n, e in even]
-        if subset:
-            factors.append("^".join(f"dc{i}" for i in subset))
-        body = "*".join(factors) if factors else "1"
-        parts.append(body if coeff == 1 else f"{coeff}*{body}")
+        even, _ = module.named_factors(mono)  # the module has no odd generators
+        parts.append(format_term(vec[row], even, [f"dc{i}" for i in subset]))
     return " + ".join(parts)
 
 

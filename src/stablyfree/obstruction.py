@@ -219,7 +219,8 @@ def check_cohomological(query: SectionQuery) -> ObstructionReport:
         while j + i * (p.value - 1) <= top:
             image = apply_P_primitive(i, j, model, p)
             for mono, coeff in image.terms.items():
-                t = image.algebra.generators[mono.odd[0]].bidegree.weight
+                # the image is a multiple of one odd generator, a_t of weight t
+                t = image.algebra.mono_bidegree(mono).weight
                 if t in target_idx:
                     witnesses.append(Witness(j, i, t, coeff))
             i += 1

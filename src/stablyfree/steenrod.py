@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import accumulate
 from operator import mul
 
-from .algebra import Element, Monomial, add_exps, bidegree_of, polynomial_algebra
+from .algebra import Element, Exps, add_exps, bidegree_of, polynomial_algebra
 from .modp import Prime, binom_mod_p
 from .models import GroupModel
 from .symmetric import reduced_power_on_elementary
@@ -44,11 +44,6 @@ def apply_P_primitive(i: int, j: int, model: GroupModel, p: Prime) -> Element:
     if not coeff:
         return alg.zero()
     return alg.gen(f"a{target}") * coeff
-
-
-# An even Chern monomial of `polynomial_algebra` is its exponent tuple,
-# entry k-1 holding the exponent of c_k, with no trailing zeros.
-Exps = tuple[int, ...]
 
 
 def _weight(exps: Exps) -> int:
@@ -105,11 +100,6 @@ def _apply_raw(p: int, i: int, terms: dict[Exps, int]) -> dict[Exps, int]:
                         for exps, coeff in terms.items() if i <= _weight(exps)))
 
 
-def _terms(x: Element) -> dict[Exps, int]:
-    """The {exps: residue} form of an element of a polynomial algebra."""
-    return {m.even: c for m, c in x.terms.items()}
-
-
 def apply_P_polynomial(i: int, x: Element, p: Prime) -> Element:
     """P^i on an element of a polynomial algebra in c_1, c_2, ...
 
@@ -121,28 +111,28 @@ def apply_P_polynomial(i: int, x: Element, p: Prime) -> Element:
         raise ValueError("operation index must be nonnegative")
     if x.algebra.modulus != p:
         raise ValueError("modulus mismatch")
-    for mono in x.terms:
-        if mono.odd:
-            raise ValueError("element involves odd generators; use the primitive action")
+    if x.algebra.has_odd_factor(x.terms):
+        raise ValueError("element involves odd generators; use the primitive action")
     if x.algebra != polynomial_algebra(p, len(x.algebra.generators)):
         raise ValueError("expected an element of a polynomial algebra in c1, c2, ...")
 
     pv = p.value
-    terms = _terms(x)
+    terms = x.terms
     result = _apply_raw(pv, i, terms)
     # P^a(c_k) involves c_1 .. c_{k + a(p-1)} only, so by the Cartan formula
     # the image of a monomial needs no index above its largest one plus
     # i(p-1); monomials of weight below i contribute nothing
     size = max([len(e) + i * (pv - 1) for e in terms if i <= _weight(e)] + [1])
-    return polynomial_algebra(p, size).from_terms(
-        {Monomial(e, ()): c for e, c in result.items()})
+    return polynomial_algebra(p, size).from_terms(result)
 
 
 def decomposable_quotient(x: Element) -> Element:
     """Image in the quotient by products of positive-degree classes:
     only single-generator, exponent-one monomials survive."""
-    keep = {m: c for m, c in x.terms.items() if not m.odd and sum(m.even) == 1}
-    return x.algebra.from_terms(keep)
+    alg = x.algebra
+    keep = {m: c for m, c in x.terms.items()
+            if sum(m) == 1 and alg.odd_position(m) is None}
+    return alg.from_terms(keep)
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +177,7 @@ class AxiomCheck:
 
 def _render(p: int, terms: dict[Exps, int]) -> str:
     size = max(map(len, terms), default=0)
-    return polynomial_algebra(Prime(p), size).from_terms(
-        {Monomial(e, ()): c for e, c in terms.items()}).render()
+    return polynomial_algebra(Prime(p), size).from_terms(terms).render()
 
 
 class AxiomReport:
@@ -303,24 +292,22 @@ def verify_axiom(axiom: str, p: Prime, degree_bound: int,
 
     if axiom == "unit":
         for name, x in pool:
-            terms = _terms(x)
-            report.record(f"P^0({name}) = {name}", _apply_raw(pv, 0, terms), terms)
+            report.record(f"P^0({name}) = {name}", _apply_raw(pv, 0, x.terms), x.terms)
 
     elif axiom == "pth_power":
         for name, x in pool:
             w = bidegree_of(x).weight
             if w * pv <= degree_bound:
                 report.record(f"P^{w}({name}) = ({name})^{pv}",
-                              _apply_raw(pv, w, _terms(x)), _terms(x ** pv))
+                              _apply_raw(pv, w, x.terms), (x ** pv).terms)
 
     elif axiom == "instability":
         for name, x in pool:
             w = bidegree_of(x).weight
-            terms = _terms(x)
             n = w + 1
             while w + n * (pv - 1) <= degree_bound:
                 report.record(f"P^{n}({name}) = 0 (weight {w} < {n})",
-                              _apply_raw(pv, n, terms), {})
+                              _apply_raw(pv, n, x.terms), {})
                 n += 1
 
     elif axiom == "cartan":
@@ -333,19 +320,18 @@ def verify_axiom(axiom: str, p: Prime, degree_bound: int,
             if xy.is_zero():
                 continue
             w = bidegree_of(xy).weight
-            terms = _terms(xy)
             n = 0
             while w + n * (pv - 1) <= degree_bound:
                 parts = [apply_P_polynomial(j, x, p) * apply_P_polynomial(n - j, y, p)
                          for j in range(n + 1)]
                 rhs = sum(parts[1:], parts[0])
                 report.record(f"P^{n}(({name_x})*({name_y})) = sum of products",
-                              _apply_raw(pv, n, terms), _terms(rhs))
+                              _apply_raw(pv, n, xy.terms), rhs.terms)
                 n += 1
 
     elif axiom == "adem":
         for name, x in pool:
-            composite = _composer(pv, _terms(x))
+            composite = _composer(pv, x.terms)
             # the pairs with w + (a + b)(p - 1) <= bound, and a < pb
             top = (degree_bound - bidegree_of(x).weight) // (pv - 1)
             for b in range(1, top + 1):

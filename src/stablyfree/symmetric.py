@@ -23,8 +23,8 @@ total degree, no coefficient depends on the number of roots, so none is
 passed.
 
 The sum runs over a number of partitions that grows fast with p and i, so
-it is counted first, in O(i p^2) steps, and refused above
-MAX_SEED_PARTITIONS.
+it is bounded below in closed form and then counted, in O(i p^2) steps,
+and refused above MAX_SEED_PARTITIONS.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from math import comb, factorial, prod
 MAX_SEED_PARTITIONS = 100_000
 # When 46 <= min(i(p-1), W/2, p-1), each of the P(46) = 105 558 partitions
 # mu of 46 gives one partition of the sum, (W - 46, mu), so the count is over
-# the cap and is not taken.  From p = 97 on, that holds whenever 0 < i < j.
+# the cap.  From p = 97 on, that holds whenever 0 < i < j.
 _UNCOUNTED_PART, _UNCOUNTED_LEAST = 46, 105_558
 
 
@@ -70,12 +70,32 @@ def seed_partition_count(p: int, i: int, j: int) -> int:
     return _box(weight, p, weight)[weight] - _box(weight, p, j - 1)[weight]
 
 
+def seed_partition_floor(p: int, i: int, j: int) -> int:
+    """A lower bound on seed_partition_count(p, i, j), in closed form.
+
+    With r = min(i(p-1), W/2), each partition mu of r into at most p - 1
+    parts gives its own partition (W - r, mu) of the sum, and for r > 0 the
+    one part (W) is one more, so the count exceeds the bound.  P(46) of
+    them when r and p - 1 are both at least 46; otherwise those into at
+    most min(3, p-1) parts: round((r+3)^2 / 12) at p >= 5, floor(r/2) + 1
+    at p = 3 and 1 at p = 2."""
+    rest = i * (p - 1)
+    r = min(rest, (j + rest) // 2)
+    if min(r, p - 1) >= _UNCOUNTED_PART:
+        return _UNCOUNTED_LEAST
+    if p == 2:
+        return 1
+    if p == 3:
+        return r // 2 + 1
+    return ((r + 3) ** 2 + 6) // 12
+
+
 def _check_size(p: int, i: int, j: int):
     """Raise ValueError when the sum for P^i(c_j) would run over more than
-    MAX_SEED_PARTITIONS partitions."""
-    rest = i * (p - 1)
-    if min(rest, (j + rest) // 2, p - 1) >= _UNCOUNTED_PART:
-        count = f"more than {_UNCOUNTED_LEAST}"
+    MAX_SEED_PARTITIONS partitions; uncounted when the floor shows it."""
+    floor = seed_partition_floor(p, i, j)
+    if floor > MAX_SEED_PARTITIONS:
+        count = f"more than {floor}"
     else:
         count = seed_partition_count(p, i, j)
         if count <= MAX_SEED_PARTITIONS:

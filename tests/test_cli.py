@@ -70,6 +70,28 @@ def test_parse_polynomial_matches_direct_construction():
     assert parse_polynomial("2*c1*c2 - c3", p) == want
 
 
+def test_parse_polynomial_of_4000_terms():
+    # c1*c2 + c2*c3 + ... + c4000*c4001 at p = 3
+    n = 4000
+    text = " + ".join(f"c{j}*c{j + 1}" for j in range(1, n + 1))
+    want = polynomial_algebra(Prime(3), n + 1).from_terms(
+        {(0,) * (j - 1) + (1, 1): 1 for j in range(1, n + 1)})
+    assert parse_polynomial(text, Prime(3)) == want
+
+
+def test_parse_polynomial_builds_one_element(monkeypatch):
+    # the terms are summed in one dict, not one Element sum per term
+    from stablyfree.algebra import Element
+
+    def no_sums(self, other):
+        raise AssertionError("parse_polynomial added elements")
+
+    monkeypatch.setattr(Element, "__add__", no_sums)
+    x = parse_polynomial("c1*c2 + 2*c3 - c1*c2 + c1^2 + c3", Prime(5))
+    monkeypatch.undo()
+    assert x.render() == "c1^2 + 3*c3"
+
+
 # -- steenrod -----------------------------------------------------------------
 
 def test_steenrod_group_class():

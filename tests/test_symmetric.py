@@ -6,7 +6,7 @@ import pytest
 import symmetric_oracle
 from stablyfree import symmetric
 from stablyfree.symmetric import (MAX_SEED_PARTITIONS, reduced_power_on_elementary,
-                                  seed_partition_count)
+                                  seed_partition_count, seed_partition_floor)
 from symmetric_oracle import (elementary_monomial_expansion, mul_by_elementary,
                               to_elementary_basis)
 
@@ -178,6 +178,33 @@ def test_seed_partition_counts():
     assert symmetric._UNCOUNTED_LEAST > MAX_SEED_PARTITIONS
     for p, i, j in [(97, 1, 2), (47, 1, 47), (47, 2, 3), (89, 1, 200)]:
         assert seed_partition_count(p, i, j) > symmetric._UNCOUNTED_LEAST, (p, i, j)
+
+
+def test_seed_partition_floor_is_below_the_count():
+    # the floor is strictly below the count once r = min(i(p-1), W/2) > 0
+    seeds = uncounted = 0
+    for p in (2, 3, 5, 7, 11, 13, 47, 53):
+        for i in range(1, 40 if p < 47 else 4):
+            for j in list(range(i + 1, i + 12)) + [2 * i + 5, 10 * i, 100 * i]:
+                floor = seed_partition_floor(p, i, j)
+                assert floor < seed_partition_count(p, i, j), (p, i, j)
+                r = min(i * (p - 1), (j + i * (p - 1)) // 2)
+                if r <= 60 and p < 47:  # the closed form counts what it says
+                    assert floor == len(_partitions_at_most(r, min(3, p - 1), r))
+                seeds += 1
+                uncounted += floor > MAX_SEED_PARTITIONS
+    assert (seeds, uncounted) == (3360, 58)
+
+
+def test_large_seeds_are_refused_uncounted(monkeypatch):
+    def no_counting(*args):
+        raise AssertionError("the seed was counted")
+
+    monkeypatch.setattr(symmetric, "seed_partition_count", no_counting)
+    for i, floor in [(4000, "616376334"), (10000, "3852190834")]:
+        with pytest.raises(ValueError, match=f"P\\^{i}\\(c{i + 1}\\) at p=43 sums over "
+                           f"more than {floor} partitions, more than the cap of 100000"):
+            reduced_power_on_elementary(43, i, i + 1)
 
 
 def test_oversized_seeds_raise_before_summing(monkeypatch):

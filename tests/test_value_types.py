@@ -11,7 +11,7 @@ from types import MappingProxyType
 import pytest
 
 from stablyfree import (AlgebraPresentation, Bidegree, DivisibilityScan,
-                        GeneratorSpec, GroupModel, Monomial, ObstructionReport,
+                        GeneratorSpec, GroupModel, ObstructionReport,
                         Prime, SectionQuery, TorTable, Witness, build_koszul,
                         polynomial_algebra)
 from stablyfree.koszul import TorEntry
@@ -35,7 +35,6 @@ VALUES = {
     "Prime": lambda: Prime(7),
     "Bidegree": lambda: Bidegree(3, 2),
     "GeneratorSpec": lambda: GeneratorSpec("a2", "odd", Bidegree(3, 2)),
-    "Monomial": lambda: Monomial((1, 0, 2), (1,)),
     "GroupModel": lambda: GroupModel("Sp", 2),
     "TorEntry": lambda: TorEntry(1, ("dc2",)),
     "Witness": lambda: Witness(2, 1, 3, 1),
@@ -114,7 +113,6 @@ def test_value_types_are_tuples_of_their_fields():
     assert Bidegree(3, 2) == (3, 2)
     degree, weight = Bidegree(3, 2)
     assert (degree, weight) == (3, 2)
-    assert Monomial((1,), ()) == ((1,), ())
     assert WITNESS._replace(op=2) == Witness(2, 2, 3, 1)
     assert repr(Prime(7)) == "Prime(value=7)" and str(Prime(7)) == "7"
 
