@@ -134,7 +134,7 @@ class AlgebraPresentation(Frozen):
     monomial containing it reduces to zero.
     """
 
-    __slots__ = ("modulus", "generators", "killed_generators", "_pos", "_odd")
+    __slots__ = ("modulus", "generators", "killed_generators", "_names", "_pos", "_odd")
     _fields = ("modulus", "generators", "killed_generators")
 
     def __init__(self, modulus: Prime, generators: tuple[GeneratorSpec, ...],
@@ -146,8 +146,8 @@ class AlgebraPresentation(Frozen):
         if unknown:
             raise ValueError(f"killed generators not in presentation: {sorted(unknown)}")
         self._set(modulus=modulus, generators=generators,
-                  killed_generators=killed_generators,
-                  _pos={g.name: i for i, g in enumerate(generators)},
+                  killed_generators=killed_generators, _names=tuple(names),
+                  _pos={name: i for i, name in enumerate(names)},
                   _odd=tuple(k for k, g in enumerate(generators) if g.parity == "odd"))
 
     # -- generator lookups ------------------------------------------------
@@ -358,7 +358,19 @@ class Element:
         """Deterministic plain-text form, e.g. '2*c1^3*a2 + c4'."""
         if self.is_zero():
             return "0"
-        return " + ".join(format_term(c, even, odd) for even, odd, c in self.named_terms())
+        alg = self.algebra
+        if alg._odd:
+            return " + ".join(format_term(c, even, odd)
+                              for even, odd, c in self.named_terms())
+        # no odd generators: format_term's form, named by position
+        names, terms = alg._names, self.terms
+        out = []
+        for m in sorted(terms, key=_even_order):
+            c = terms[m]
+            body = "*".join([names[k] if e == 1 else f"{names[k]}^{e}"
+                             for k, e in enumerate(m) if e])
+            out.append(str(c) if not body else body if c == 1 else f"{c}*{body}")
+        return " + ".join(out)
 
     __str__ = render
 
@@ -369,6 +381,20 @@ class Element:
         terms = [{"coefficient": c, "even": [[n, e] for n, e in even], "odd": odd}
                  for even, odd, c in self.named_terms()]
         return {"modulus": self.algebra.modulus.value, "terms": terms}
+
+
+_NO_FACTOR = float("inf")  # above every exponent, int or not
+
+
+def _even_order(m: Exps) -> list:
+    """A key that sorts monomials without odd factors as sort_key does.
+
+    sort_key compares the (position, exponent) pairs of the factors.  Where
+    two monomials first differ, a zero exponent means a factor at a later
+    position, as monomials have no trailing zeros, and a monomial that ends
+    there comes first: so the tuples compare alike once each zero reads as
+    larger than any exponent."""
+    return [e or _NO_FACTOR for e in m]
 
 
 def format_term(coeff: int, powers: list[tuple[str, int]], last: list[str]) -> str:

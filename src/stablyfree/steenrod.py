@@ -16,12 +16,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import lru_cache
 from itertools import accumulate
-from operator import mul
+from operator import add, mul
 
-from .algebra import Element, Exps, add_exps, bidegree_of, polynomial_algebra
+from .algebra import Element, Exps, bidegree_of, polynomial_algebra
 from .modp import Prime, binom_mod_p
 from .models import GroupModel
-from .symmetric import reduced_power_on_elementary
+from .symmetric import reduced_power_on_elementary, release_seed_tables
 
 
 def apply_P_primitive(i: int, j: int, model: GroupModel, p: Prime) -> Element:
@@ -75,12 +75,14 @@ def _power_on_monomial(p: int, i: int, exps: Exps) -> dict[Exps, int]:
         left = _power_on_monomial(p, a, u) if a else {u: 1}
         if not left:
             continue
-        right = _power_on_monomial(p, i - a, v) if a < i else {v: 1}
+        right = (_power_on_monomial(p, i - a, v) if a < i else {v: 1}).items()
         for e1, c1 in left.items():
-            for e2, c2 in right.items():
-                e = add_exps(e1, e2)
+            n1 = len(e1)
+            for e2, c2 in right:
+                # the entrywise sum: one of the two tails is empty
+                e = tuple(map(add, e1, e2)) + e1[len(e2):] + e2[n1:]
                 out[e] = out.get(e, 0) + c1 * c2
-    return {e: c % p for e, c in out.items() if c % p}
+    return {e: r for e, c in out.items() if (r := c % p)}
 
 
 def _combine(p: int, parts) -> dict[Exps, int]:
@@ -96,8 +98,14 @@ def _combine(p: int, parts) -> dict[Exps, int]:
 def _apply_raw(p: int, i: int, terms: dict[Exps, int]) -> dict[Exps, int]:
     """P^i on a polynomial in c_1, c_2, ... given as {exps: coeff}, as a
     new {exps: residue mod p}; instability drops terms of weight below i."""
-    return _combine(p, ((coeff, _power_on_monomial(p, i, exps))
-                        for exps, coeff in terms.items() if i <= _weight(exps)))
+    out: dict[Exps, int] = {}
+    for exps, coeff in terms.items():
+        # a weight is at least the length, so only short terms can drop out
+        if i > len(exps) and i > _weight(exps):
+            continue
+        for e, c in _power_on_monomial(p, i, exps).items():
+            out[e] = out.get(e, 0) + coeff * c
+    return {e: r for e, c in out.items() if (r := c % p)}
 
 
 def apply_P_polynomial(i: int, x: Element, p: Prime) -> Element:
@@ -119,6 +127,7 @@ def apply_P_polynomial(i: int, x: Element, p: Prime) -> Element:
     pv = p.value
     terms = x.terms
     result = _apply_raw(pv, i, terms)
+    release_seed_tables()
     # P^a(c_k) involves c_1 .. c_{k + a(p-1)} only, so by the Cartan formula
     # the image of a monomial needs no index above its largest one plus
     # i(p-1); monomials of weight below i contribute nothing
@@ -344,4 +353,5 @@ def verify_axiom(axiom: str, p: Prime, degree_bound: int,
                             parts.append((coeff, composite(a + b - t, t)))
                     report.record(f"P^{a}P^{b}({name}) = Adem sum",
                                   composite(a, b), _combine(pv, parts))
+    release_seed_tables()
     return report

@@ -18,6 +18,11 @@ and is reduced mod p only at the end: Girard-Waring divides by n, which
 p may divide, so dividing mod p would be wrong.  The diagonal i = j,
 where P^j(c_j) = c_j^p, is returned directly.
 
+Truncated at degree i, an augmented function or power sum depends on
+(p, i) and not on j, so the seeds at one (p, i) fill in and share one
+table of them.  The tables live until release_seed_tables(), which the
+Steenrod layer calls when a computation ends; the seeds stay cached.
+
 Everything is in the stable range: with at least as many roots as the
 total degree, no coefficient depends on the number of roots, so none is
 passed.
@@ -29,9 +34,8 @@ and refused above MAX_SEED_PARTITIONS.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import comb
 
 
 # the most partitions a seed may sum over: P^3(c6) at p = 7 sums over 703,
@@ -116,6 +120,24 @@ def _partitions(n: int, largest: int, parts: int):
 
 
 @lru_cache(maxsize=None)
+def _augmented_tables(p: int, i: int) -> tuple[dict[tuple[int, ...], list[int]],
+                                               dict[int, list[int]]]:
+    """The augmented monomial functions and the power sums of the roots z at
+    (p, i), as polynomials in sigma, filled in by every seed P^i(c_j) that
+    meets them.  Entries depend on j only through which of them a seed
+    needs, so the seeds at one (p, i) share them.  An entry is stored once
+    complete and never changed; the tables are kept until
+    release_seed_tables()."""
+    return {(): [1]}, {}
+
+
+def release_seed_tables():
+    """Drop the tables the seeds share, keeping the cached seeds: called
+    when a computation ends, so that no table outlives it."""
+    _augmented_tables.cache_clear()
+
+
+@lru_cache(maxsize=None)
 def reduced_power_on_elementary(p: int, i: int, j: int) -> dict[tuple[int, ...], int]:
     """P^i(c_j) as {exps: residue mod p}, where exps[k-1] is the exponent
     of c_k (no trailing zeros).  Cached; do not mutate the result.
@@ -130,49 +152,63 @@ def reduced_power_on_elementary(p: int, i: int, j: int) -> dict[tuple[int, ...],
         return {(0,) * (j - 1) + (p,): 1}
     _check_size(p, i, j)
     weight = j + i * (p - 1)
-
     # a polynomial in sigma is its coefficient list, cut after degree i and
     # after its true degree, which is at most the weight over p
+    augmented, power_sums = _augmented_tables(p, i)
+
     def power_sum(k: int) -> list[int]:
         # Girard-Waring: [sigma^m] P_k(z) = (-1)^(m(p-1)) k/n C(n, m), n = k - (p-1)m
-        out = []
-        for m in range(min(i, k // p) + 1):
-            n = k - (p - 1) * m
-            out.append((-1) ** (m * (p - 1)) * k * comb(n, m) // n)
+        out = power_sums.get(k)
+        if out is None:
+            out = []
+            for m in range(min(i, k // p) + 1):
+                n = k - (p - 1) * m
+                out.append((-1) ** (m * (p - 1)) * k * comb(n, m) // n)
+            power_sums[k] = out  # stored once complete
         return out
 
-    augmented: dict[tuple[int, ...], list[int]] = {(): [1]}
-
-    def augmented_monomial(lam: tuple[int, ...]) -> list[int]:
-        # sum of z_{a_1}^lam_1 z_{a_2}^lam_2 ... over distinct a_1, a_2, ...:
-        # P_{lam_1} times the sum for the rest, less the terms with a_1 equal
-        # to some a_k, where lam_1 merges into lam_k (which keeps the merged
-        # part first and the tuple descending)
-        if lam not in augmented:
-            first, rest = lam[0], lam[1:]
-            out = [0] * (min(i, sum(lam) // p) + 1)
-            tail = augmented_monomial(rest)
-            for a, x in enumerate(power_sum(first)):
-                for b, y in enumerate(tail[:len(out) - a]):
-                    out[a + b] += x * y
-            for k in range(len(rest)):
-                merged = augmented_monomial((first + rest[k],) + rest[:k] + rest[k + 1:])
-                for d, y in enumerate(merged):
-                    out[d] -= y
-            augmented[lam] = out
-        return augmented[lam]
+    def augmented_monomial(lam: tuple[int, ...], w: int) -> list[int]:
+        # sum of z_{a_1}^lam_1 z_{a_2}^lam_2 ... over distinct a_1, a_2, ...,
+        # where w = |lam|: P_{lam_1} times the sum for the rest, less the
+        # terms with a_1 equal to some a_k, where lam_1 merges into lam_k
+        # (which keeps the merged part first and the tuple descending).
+        # Equal parts of the rest give one merged tuple, subtracted once
+        # per part.
+        out = augmented.get(lam)
+        if out is not None:
+            return out
+        first, rest = lam[0], lam[1:]
+        size = min(i, w // p) + 1
+        tail = augmented.get(rest) or augmented_monomial(rest, w - first)
+        out = tail + [0] * (size - len(tail))  # P_k = 1 + O(sigma)
+        for a, x in enumerate(power_sum(first)[1:], 1):
+            for b, y in enumerate(tail[:size - a]):
+                out[a + b] += x * y
+        k = 0
+        while k < len(rest):
+            part = rest[k]
+            m = rest.count(part)  # equal parts sit together: rest[k:k + m]
+            key = (first + part,) + rest[:k] + rest[k + 1:]
+            merged = augmented.get(key) or augmented_monomial(key, w)
+            out = [x - m * y for x, y in zip(out, merged)]
+            k += m
+        augmented[lam] = out
+        return out
 
     # in the Chern roots P^i(c_j) is m_(p^i, 1^(j-i)), which expands only
-    # into the c_J with J dominating its conjugate (j, i^(p-1)); so J_1 >= j
+    # into the c_J with J dominating its conjugate (j, i^(p-1)); so J_1 >= j.
+    # m_J is the augmented function over the factorials of J's multiplicities,
+    # whose product is that of each part's running count in exps
     out: dict[tuple[int, ...], int] = {}
     for first in range(j, weight + 1):
         for rest in _partitions(weight - first, first, p - 1):
             parts = (first,) + rest
-            mults = Counter(parts)
-            coeff = augmented_monomial(parts)[i] // prod(map(factorial, mults.values()))
-            if coeff % p:
-                exps = [0] * first
-                for k, m in mults.items():
-                    exps[k - 1] = m
-                out[tuple(exps)] = coeff % p
+            exps = [0] * first
+            factorials = 1
+            for k in parts:
+                exps[k - 1] += 1
+                factorials *= exps[k - 1]
+            coeff = augmented_monomial(parts, weight)[i] // factorials % p
+            if coeff:
+                out[tuple(exps)] = coeff
     return out

@@ -11,19 +11,23 @@ if str(SRC) not in sys.path:
 @pytest.fixture
 def planted_seed(monkeypatch):
     """Plant one wrong seed, P^0(c2) = 2*c2 at p = 3, so that the axiom
-    harness has identities to fail.  Both Steenrod caches are emptied
-    before and after, so no value built from the wrong seed outlives it."""
-    from stablyfree import steenrod
+    harness has identities to fail.  The Steenrod caches and the seeds'
+    shared tables are emptied before and after, so no value built from the
+    wrong seed outlives it."""
+    from stablyfree import steenrod, symmetric
 
     true_seed = steenrod.reduced_power_on_elementary
 
     def planted(p, i, j):
         return {(0, 1): 2} if (p, i, j) == (3, 0, 2) else true_seed(p, i, j)
 
-    true_seed.cache_clear()
-    steenrod._power_on_monomial.cache_clear()
+    def clear():
+        true_seed.cache_clear()
+        symmetric.release_seed_tables()
+        steenrod._power_on_monomial.cache_clear()
+
+    clear()
     monkeypatch.setattr(steenrod, "reduced_power_on_elementary", planted)
     yield
     monkeypatch.undo()
-    true_seed.cache_clear()
-    steenrod._power_on_monomial.cache_clear()
+    clear()

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from stablyfree.algebra import (AlgebraPresentation, Bidegree, GeneratorSpec,
                                 INHOMOGENEOUS, SECOND_ODD_FACTOR, bidegree_of,
-                                even_gen, iter_monomials, odd_gen,
+                                even_gen, format_term, iter_monomials, odd_gen,
                                 polynomial_algebra)
 from stablyfree.cli import parse_polynomial
 from stablyfree.modp import Prime
@@ -259,6 +259,17 @@ def test_render_parse_and_json_round_trip(p, sized):
     assert parse_polynomial(x.render(), p) == x
     rebuilt = _by_name(x, alg)
     assert rebuilt == x and rebuilt.to_json() == x.to_json()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([P2, P3, P5]), _sized_terms())
+def test_render_without_odd_generators_keeps_the_sort_key_order(p, sized):
+    # render formats Chern monomials straight from their positions; it must
+    # give what the named terms, in sort_key's order, give
+    n, terms = sized
+    x = _element(polynomial_algebra(p, n), terms)
+    named = " + ".join(format_term(c, even, odd) for even, odd, c in x.named_terms())
+    assert x.render() == (named or "0")
 
 
 @settings(max_examples=80, deadline=None)

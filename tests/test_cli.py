@@ -357,3 +357,114 @@ def test_main_reuses_one_parser(monkeypatch):
             (0, "c1*c2 + c3\n", "")
     monkeypatch.undo()
     assert build_parser() is not build_parser()  # still public, still fresh
+
+
+# -- one parser per command ---------------------------------------------------
+
+def run_cli_exit(*argv):
+    """run_cli, counting argparse's own exit as the exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+# sha256 of each help text at 80 columns, recorded from the full parser
+# before main parsed with one-command parsers.  argparse lays help out
+# differently from one Python version to the next (3.13 writes "-p, --p P"
+# where 3.11 writes "-p P, --p P"), so the digests are those of 3.11; every
+# version compares the text with a freshly built full parser
+HELP_DIGESTS = {
+    None: "ad66cdcb4a2533b810b6a4e221cea1a7431a71355a3f9919f77ffd7628c30d56",
+    "steenrod": "5d881a17198cee11ce2fe52463e838e24f785f784f3b945e8c341455b28ad42f",
+    "tor": "dcb9d1e19bacf59849b47a872eb5b96ebc431844c85846575699db1ef0d470f9",
+    "obstruct": "d623dd2d79b36bc2818a3f3b4b92a764ba7aeb7fc64d9cc0b33df38ed0e8df13",
+    "verify": "16a80b79db3a231f075504adf1c900494d8cf07ed17890699beb68ff1ec746de",
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_DIGESTS), ids=lambda c: c or "top")
+def test_help_is_that_of_the_full_parser(command, monkeypatch):
+    import hashlib
+
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ["-h"] if command is None else [command, "-h"]
+    code, out, err = run_cli_exit(*argv)
+    assert (code, err) == (0, "")
+    full = io.StringIO()
+    with redirect_stdout(full), pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
+    assert out == full.getvalue()
+    if sys.version_info[:2] == (3, 11):
+        assert hashlib.sha256(out.encode()).hexdigest() == HELP_DIGESTS[command]
+
+
+def test_main_builds_the_parser_of_the_command_named_first(monkeypatch):
+    built = []
+    true_build = cli.build_parser
+
+    def recording(command=None):
+        built.append(command)
+        return true_build(command)
+
+    monkeypatch.setattr(cli, "_PARSERS", {})
+    monkeypatch.setattr(cli, "build_parser", recording)
+    assert run_cli("steenrod", "-p", "2", "--poly", "c2", "--op", "1") == \
+        (0, "c1*c2 + c3\n", "")
+    assert run_cli("steenrod", "-p", "3", "--poly", "c1", "--op", "0") == (0, "c1\n", "")
+    assert built == ["steenrod"]
+    # -h, an unknown command and unrecognized arguments go to the full parser
+    for argv in (["-h"], ["bogus"], ["steenrod", "-p", "2", "--op", "1", "--bogus"]):
+        code, _, _ = run_cli_exit(*argv)
+        assert code in (0, 2)
+    assert built == ["steenrod", None]
+
+
+def test_one_process_runs_every_command_then_a_usage_error():
+    # a fresh process, so that each parser is built on its first use, in
+    # this order; each output must equal that of the same call here
+    runs = [
+        ["steenrod", "-p", "7", "--poly", "c2*c3", "--op", "1"],
+        ["tor", "--family", "Sp", "--n", "3", "-p", "3"],
+        ["obstruct", "gl", "--n", "5", "--a", "1", "--b", "4", "-p", "2"],
+        ["verify", "--axiom", "cartan", "-p", "3", "--bound", "8"],
+        ["obstruct", "sp", "-p", "3"],
+    ]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from stablyfree.cli import main\n"
+        "results = []\n"
+        f"for argv in {runs!r}:\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        try:\n"
+        "            code = main(argv)\n"
+        "        except SystemExit as e:\n"
+        "            code = e.code\n"
+        "    results.append([code, out.getvalue(), err.getvalue()])\n"
+        "print(json.dumps(results))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    results = [tuple(r) for r in json.loads(proc.stdout)]
+    assert results == [run_cli_exit(*argv) for argv in runs]
+    assert [code for code, _, _ in results] == [0, 0, 0, 0, 2]
+    assert results[-1][2] == ("usage: stablyfree [-h] {steenrod,tor,obstruct,verify} ...\n"
+                              "stablyfree: error: obstruct needs --n\n")
+
+
+# -- the Chern index cap ------------------------------------------------------
+
+def test_chern_indices_past_the_cap_exit_two_before_any_algebra(monkeypatch):
+    def no_algebra(*args):
+        raise AssertionError("an algebra was built")
+
+    monkeypatch.setattr(cli, "MAX_CHERN_INDEX", 5)
+    assert run_cli("steenrod", "-p", "2", "--poly", "c5", "--op", "0") == (0, "c5\n", "")
+    monkeypatch.setattr(cli, "polynomial_algebra", no_algebra)
+    for poly, top in [("c6", 6), ("c1*c2 + c6^2", 6), ("c7 - c7", 7)]:
+        assert run_cli("steenrod", "-p", "2", "--poly", poly, "--op", "1") == (
+            2, "", f"error: c{top} is past the largest Chern index allowed, c5\n")

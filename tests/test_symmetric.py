@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import combinations, permutations
 
@@ -224,3 +225,70 @@ def test_oversized_seeds_raise_before_summing(monkeypatch):
     assert reduced_power_on_elementary(10007, 5, 5) == {(0, 0, 0, 0, 10007): 1}
     assert reduced_power_on_elementary(10007, 0, 5) == {(0, 0, 0, 0, 1): 1}
     assert reduced_power_on_elementary(10007, 6, 5) == {}
+
+
+def _wu(i, j):
+    """Wu's formula at p = 2: P^i(c_j) = sum_t C(j-i+t-1, t) c_(i-t) c_(j+t),
+    with c_0 = 1, as {exps: 1} over the odd binomials."""
+    out = {}
+    for t in range(i + 1):
+        if t and math.comb(j - i + t - 1, t) % 2 == 0:  # t = 0: C(., 0) = 1
+            continue
+        exps = [0] * (j + t)
+        exps[j + t - 1] += 1
+        if i - t:
+            exps[i - t - 1] += 1
+        out[tuple(exps)] = 1
+    return out
+
+
+def test_seeds_at_p2_follow_the_wu_formula():
+    # a closed form that shares no code with the generating function
+    seeds = 0
+    for j in range(1, 41):
+        for i in range(j + 1):
+            assert reduced_power_on_elementary(2, i, j) == _wu(i, j), (i, j)
+            seeds += 1
+    assert seeds == 860
+
+
+def _seeds_from_cleared_caches(keys):
+    reduced_power_on_elementary.cache_clear()
+    symmetric.release_seed_tables()
+    return {key: reduced_power_on_elementary(*key) for key in keys}
+
+
+def test_seeds_do_not_depend_on_the_order_they_fill_the_shared_tables():
+    # the seeds at one (p, i) share one table of augmented functions, filled
+    # by whichever seed meets an entry first
+    keys = [(p, i, j) for p in (3, 5, 7) for j in range(1, 9) for i in range(j + 1)]
+    ascending = _seeds_from_cleared_caches(keys)
+    shuffled = keys[:]
+    random.Random(14).shuffle(shuffled)
+    assert _seeds_from_cleared_caches(shuffled) == ascending
+    oracle = 0
+    for (p, i, j), seed in ascending.items():
+        if j + i * (p - 1) <= 18:  # where elimination is tractable
+            assert seed == symmetric_oracle.reduced_power_on_elementary(p, i, j), (p, i, j)
+            oracle += 1
+    assert (len(keys), oracle) == (132, 87)
+    symmetric.release_seed_tables()
+
+
+def test_the_steenrod_layer_releases_the_shared_tables():
+    # a seed computed directly leaves its table; apply_P_polynomial and
+    # verify_axiom drop every table when they return, and keep the seeds
+    from stablyfree import steenrod
+    from stablyfree.modp import Prime
+
+    tables = symmetric._augmented_tables.cache_info
+    _seeds_from_cleared_caches([(7, 2, 6), (7, 1, 6)])
+    assert tables().currsize == 2
+    x = steenrod.polynomial_algebra(Prime(7), 7).monomial_element({"c3": 1, "c4": 1})
+    for compute in (lambda: steenrod.apply_P_polynomial(2, x, Prime(7)),
+                    lambda: steenrod.verify_axiom("adem", Prime(3), 10)):
+        steenrod._power_on_monomial.cache_clear()
+        seeds = reduced_power_on_elementary.cache_info().currsize
+        compute()
+        assert tables().currsize == 0
+        assert reduced_power_on_elementary.cache_info().currsize > seeds
