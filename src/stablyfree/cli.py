@@ -33,7 +33,9 @@ def _prime(value: int) -> Prime:
     return Prime(value)
 
 
-_TOKEN = re.compile(r"\s*(\d+|[a-zA-Z]+\d+|[+\-*^])")
+# a token is a number, a generator (its letters and index captured, so that
+# no other pattern is compiled), or an operator
+_TOKEN = re.compile(r"\s*(\d+|([a-zA-Z]+)(\d+)|[+\-*^])")
 # the largest J of a cJ in a polynomial: the algebra of the input has J
 # generators, built before any seed is checked (c400001 took 2.2 s and
 # 168 MB), and 20 000 of them take about 0.1 s.  It stays above 10 001, so
@@ -45,6 +47,7 @@ def parse_polynomial(text: str, p: Prime) -> Element:
     """Parse expressions like 'c1^2*c2 + 2*c3' into an element of a
     polynomial algebra sized by the largest index mentioned."""
     tokens = []
+    generators = []  # (token, letters, index)
     pos = 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
@@ -53,17 +56,18 @@ def parse_polynomial(text: str, p: Prime) -> Element:
                 raise CliError(f"cannot parse polynomial near {text[pos:]!r}")
             break
         tokens.append(m.group(1))
+        if m.group(2):
+            generators.append(m.group(1, 2, 3))
         pos = m.end()
     if not tokens:
         raise CliError("empty polynomial")
 
     indices = []
-    for t in tokens:
-        if re.fullmatch(r"[a-zA-Z]+\d+", t):
-            if not re.fullmatch(r"c[1-9]\d*", t):
-                raise CliError(f"only Chern-class generators cJ (J >= 1) are "
-                               f"allowed, got {t!r}")
-            indices.append(int(t[1:]))
+    for t, letters, index in generators:
+        if letters != "c" or index[0] not in "123456789":
+            raise CliError(f"only Chern-class generators cJ (J >= 1) are "
+                           f"allowed, got {t!r}")
+        indices.append(int(index))
     top = max(indices, default=1)
     if top > MAX_CHERN_INDEX:
         raise CliError(f"c{top} is past the largest Chern index allowed, "
@@ -93,7 +97,7 @@ def parse_polynomial(text: str, p: Prime) -> Element:
             if t.isdigit():
                 coeff *= int(t)
                 i += 1
-            elif re.fullmatch(r"[a-zA-Z]+\d+", t):
+            elif t[0].isalpha():  # a generator token
                 name = t
                 i += 1
                 exp = 1

@@ -6,15 +6,21 @@ polynomial in weight-one roots, a root t maps to t + t^p, and the total
 operation is multiplicative.  So P^i of a monomial follows from the
 Cartan formula, recursing on halves of the monomial down to the cached
 images P^a(c_j) of single generators, which `symmetric` reads off one
-generating function.  On the primitive odd generators of
-a group model the action is the closed-form binomial rule.  A
-verification harness checks the two engines against the defining axioms.
+generating function.  Each monomial met has one record: its split into
+halves, made once, and its images {i: P^i}, each filled in once and asked
+for only where a Cartan sum reaches it.  The records live for one
+top-level call.  On the primitive odd generators of a group model the
+action is the closed-form binomial rule.
+
+A verification harness checks the two engines against the defining
+axioms.  For the Adem relations it computes every P^a(P^b(x)) an identity
+reads in one pass over the terms of P^b(x), per b; at p = 2 every residue
+is 1, so its sums keep the monomials met an odd number of times.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import lru_cache
 from itertools import accumulate
 from operator import add, mul
 
@@ -50,62 +56,105 @@ def _weight(exps: Exps) -> int:
     return sum(map(mul, exps, range(1, len(exps) + 1)))
 
 
-@lru_cache(maxsize=None)
-def _power_on_monomial(p: int, i: int, exps: Exps) -> dict[Exps, int]:
-    """P^i on an even monomial, as {exps: residue mod p}.
+# The images P^i of the even monomials met in one top-level call: per prime,
+# {exps: [exps, weight, halves, images]}, one record per monomial.  `halves`
+# is None for a single c_j or 1, whose images are the seeds; for any other
+# monomial it is () until the first image that needs the Cartan split, and
+# then the records of the two halves.  `images` is {i: P^i(exps)}, filled in
+# as asked.  apply_P_polynomial and verify_axiom empty the table when they
+# return, so its size is bounded by one call's work.
+_IMAGES: dict[int, dict[Exps, list]] = {}
 
-    A single c_j (or 1) is the seed from the symmetric layer.  Any other
+
+def _record(table: dict[Exps, list], exps: Exps) -> list:
+    """A new record for exps in the table, with no images yet."""
+    rec = table[exps] = [exps, _weight(exps), None if sum(exps) <= 1 else (), {}]
+    return rec
+
+
+def _image(p: int, table: dict[Exps, list], rec: list, i: int) -> dict[Exps, int]:
+    """P^i of the record's monomial, as {exps: residue mod p}, stored in the
+    record.
+
+    A single c_j (or 1) reads the seed from the symmetric layer.  Any other
     monomial is split into its first half of factors u and the rest v, and
     the Cartan formula P^i(uv) = sum_a P^a(u) P^{i-a}(v) runs over the a
-    that instability leaves nonzero.  Halving keeps the recursion about
-    log2(degree) deep, and c_j^e splits into equal halves that share one
-    cache entry.  Cached; do not mutate the result.
+    that instability leaves nonzero, asking each half only for the indices
+    that sum reaches.  Halving keeps the recursion about log2(degree) deep,
+    and c_j^e splits into equal halves that share one record.
     """
-    factors = list(accumulate(exps))  # factors[k]: how many are c_1 .. c_{k+1}
-    if not exps or factors[-1] == 1:
-        return reduced_power_on_elementary(p, i, len(exps))
-    h = factors[-1] // 2  # u is the first h factors
-    k = bisect_left(factors, h)  # the h-th factor is c_{k+1}
-    h -= factors[k - 1] if k else 0  # u's share of the c_{k+1}
-    u, v = exps[:k] + (h,), (0,) * k + (exps[k] - h,) + exps[k + 1:]
-    w_u, w_v = _weight(u), _weight(v)
-    out: dict[Exps, int] = {}
-    for a in range(max(0, i - w_v), min(i, w_u) + 1):
-        # P^0 is the identity: the a = 0 and a = i terms recurse on one side only
-        left = _power_on_monomial(p, a, u) if a else {u: 1}
-        if not left:
-            continue
-        right = (_power_on_monomial(p, i - a, v) if a < i else {v: 1}).items()
-        for e1, c1 in left.items():
-            n1 = len(e1)
-            for e2, c2 in right:
-                # the entrywise sum: one of the two tails is empty
-                e = tuple(map(add, e1, e2)) + e1[len(e2):] + e2[n1:]
-                out[e] = out.get(e, 0) + c1 * c2
-    return {e: r for e, c in out.items() if (r := c % p)}
+    exps, _, halves, images = rec
+    if halves is None:
+        out = reduced_power_on_elementary(p, i, len(exps))
+    elif not i:
+        out = {exps: 1}
+    else:
+        if not halves:
+            factors = list(accumulate(exps))  # factors[k]: how many are c_1 .. c_{k+1}
+            h = factors[-1] // 2  # u is the first h factors
+            k = bisect_left(factors, h)  # the h-th factor is c_{k+1}
+            h -= factors[k - 1] if k else 0  # u's share of the c_{k+1}
+            halves = rec[2] = [table.get(half) or _record(table, half)
+                               for half in (exps[:k] + (h,),
+                                            (0,) * k + (exps[k] - h,) + exps[k + 1:])]
+        (u, w_u, _, u_images), (v, w_v, _, v_images) = left_rec, right_rec = halves
+        out = {}
+        for a in range(max(0, i - w_v), min(i, w_u) + 1):
+            # P^0 is the identity: the a = 0 and a = i terms recurse on one side only
+            if a:
+                left = u_images.get(a)
+                if left is None:
+                    left = _image(p, table, left_rec, a)
+                if not left:
+                    continue
+            else:
+                left = {u: 1}
+            if a < i:
+                right = v_images.get(i - a)
+                if right is None:
+                    right = _image(p, table, right_rec, i - a)
+            else:
+                right = {v: 1}
+            right = right.items()
+            for e1, c1 in left.items():
+                n1 = len(e1)
+                for e2, c2 in right:
+                    # the entrywise sum: one of the two tails is empty
+                    e = tuple(map(add, e1, e2)) + e1[len(e2):] + e2[n1:]
+                    out[e] = out.get(e, 0) + c1 * c2
+        out = {e: r for e, c in out.items() if (r := c % p)}
+    images[i] = out
+    return out
 
 
-def _combine(p: int, parts) -> dict[Exps, int]:
-    """Sum of coeff * terms over the (coeff, terms) pairs of `parts`, as a
-    new {exps: residue mod p} without zero residues."""
-    out: dict[Exps, int] = {}
-    for coeff, terms in parts:
-        for e, c in terms.items():
-            out[e] = out.get(e, 0) + coeff * c
-    return {e: r for e, c in out.items() if (r := c % p)}
-
-
-def _apply_raw(p: int, i: int, terms: dict[Exps, int]) -> dict[Exps, int]:
-    """P^i on a polynomial in c_1, c_2, ... given as {exps: coeff}, as a
-    new {exps: residue mod p}; instability drops terms of weight below i."""
-    out: dict[Exps, int] = {}
+def _apply_raw(p: int, ops, terms: dict[Exps, int]) -> dict[int, dict[Exps, int]]:
+    """P^i for each i of the ascending `ops`, on a polynomial in c_1, c_2, ...
+    given as {exps: residue mod p}, in one pass over its terms: {i: a new
+    {exps: residue mod p}}.  Instability drops the terms of weight below i.
+    The images stay in _IMAGES, for later calls to share, until it is
+    emptied."""
+    table = _IMAGES.setdefault(p, {})
+    # at p = 2 every residue is 1, so a sum keeps the monomials it meets an
+    # odd number of times
+    sums = {i: set() if p == 2 else {} for i in ops}
     for exps, coeff in terms.items():
-        # a weight is at least the length, so only short terms can drop out
-        if i > len(exps) and i > _weight(exps):
-            continue
-        for e, c in _power_on_monomial(p, i, exps).items():
-            out[e] = out.get(e, 0) + coeff * c
-    return {e: r for e, c in out.items() if (r := c % p)}
+        rec = table.get(exps) or _record(table, exps)
+        w, images = rec[1], rec[3]
+        for i in ops:
+            if i > w:
+                break
+            image = images.get(i)
+            if image is None:
+                image = _image(p, table, rec, i)
+            out = sums[i]
+            if p == 2:
+                out.symmetric_difference_update(image)
+            else:
+                for e, c in image.items():
+                    out[e] = out.get(e, 0) + coeff * c
+    if p == 2:
+        return {i: dict.fromkeys(out, 1) for i, out in sums.items()}
+    return {i: {e: r for e, c in out.items() if (r := c % p)} for i, out in sums.items()}
 
 
 def apply_P_polynomial(i: int, x: Element, p: Prime) -> Element:
@@ -124,15 +173,30 @@ def apply_P_polynomial(i: int, x: Element, p: Prime) -> Element:
     if x.algebra != polynomial_algebra(p, len(x.algebra.generators)):
         raise ValueError("expected an element of a polynomial algebra in c1, c2, ...")
 
+    try:
+        return _power_element(i, x, p)
+    finally:
+        _release_tables()
+
+
+def _power_element(i: int, x: Element, p: Prime) -> Element:
+    """P^i(x) for a checked x, through the shared image tables."""
     pv = p.value
     terms = x.terms
-    result = _apply_raw(pv, i, terms)
-    release_seed_tables()
+    result = _apply_raw(pv, (i,), terms)[i]
     # P^a(c_k) involves c_1 .. c_{k + a(p-1)} only, so by the Cartan formula
     # the image of a monomial needs no index above its largest one plus
     # i(p-1); monomials of weight below i contribute nothing
     size = max([len(e) + i * (pv - 1) for e in terms if i <= _weight(e)] + [1])
     return polynomial_algebra(p, size).from_terms(result)
+
+
+def _release_tables():
+    """Drop the images and the seeds' shared tables, keeping the cached
+    seeds: called when a top-level computation ends, so that no table
+    outlives it."""
+    _IMAGES.clear()
+    release_seed_tables()
 
 
 def decomposable_quotient(x: Element) -> Element:
@@ -268,21 +332,19 @@ def _test_classes(p: Prime, degree_bound: int,
     return pool
 
 
-def _composer(p: int, terms: dict[Exps, int]):
-    """The map (a, b) -> P^a(P^b(x)) for the x given by `terms`.  Each
-    P^b(x) and each composite is computed once and kept only as long as
-    the returned function."""
-    powers: dict[int, dict[Exps, int]] = {}
-    composites: dict[tuple[int, int], dict[Exps, int]] = {}
-
-    def composite(a: int, b: int) -> dict[Exps, int]:
-        if (a, b) not in composites:
-            if b not in powers:
-                powers[b] = _apply_raw(p, b, terms)
-            composites[a, b] = _apply_raw(p, a, powers[b])
-        return composites[a, b]
-
-    return composite
+def _combine(p: int, parts) -> dict[Exps, int]:
+    """Sum of coeff * terms over the (coeff, terms) pairs of `parts`, as a
+    new {exps: residue mod p} without zero residues."""
+    if p == 2:  # every coeff and residue is 1: keep what an odd number hold
+        odd: set[Exps] = set()
+        for _, terms in parts:
+            odd.symmetric_difference_update(terms)
+        return dict.fromkeys(odd, 1)
+    out: dict[Exps, int] = {}
+    for coeff, terms in parts:
+        for e, c in terms.items():
+            out[e] = out.get(e, 0) + coeff * c
+    return {e: r for e, c in out.items() if (r := c % p)}
 
 
 def verify_axiom(axiom: str, p: Prime, degree_bound: int,
@@ -296,19 +358,30 @@ def verify_axiom(axiom: str, p: Prime, degree_bound: int,
     if n_generators < 1:
         raise ValueError("need at least one generator in the test pool")
     report = AxiomReport(axiom, p.value, degree_bound)
-    pool = _test_classes(p, degree_bound, n_generators)
-    pv = p.value
+    try:
+        _check_axiom(report, p, _test_classes(p, degree_bound, n_generators))
+    finally:
+        _release_tables()
+    return report
+
+
+def _check_axiom(report: AxiomReport, p: Prime, pool: list[tuple[str, Element]]):
+    """Record in `report` every identity of its axiom on the pool."""
+    axiom, degree_bound, pv = report.axiom, report.degree_bound, p.value
+
+    def power(i: int, terms: dict[Exps, int]) -> dict[Exps, int]:
+        return _apply_raw(pv, (i,), terms)[i]
 
     if axiom == "unit":
         for name, x in pool:
-            report.record(f"P^0({name}) = {name}", _apply_raw(pv, 0, x.terms), x.terms)
+            report.record(f"P^0({name}) = {name}", power(0, x.terms), x.terms)
 
     elif axiom == "pth_power":
         for name, x in pool:
             w = bidegree_of(x).weight
             if w * pv <= degree_bound:
                 report.record(f"P^{w}({name}) = ({name})^{pv}",
-                              _apply_raw(pv, w, x.terms), (x ** pv).terms)
+                              power(w, x.terms), (x ** pv).terms)
 
     elif axiom == "instability":
         for name, x in pool:
@@ -316,7 +389,7 @@ def verify_axiom(axiom: str, p: Prime, degree_bound: int,
             n = w + 1
             while w + n * (pv - 1) <= degree_bound:
                 report.record(f"P^{n}({name}) = 0 (weight {w} < {n})",
-                              _apply_raw(pv, n, x.terms), {})
+                              power(n, x.terms), {})
                 n += 1
 
     elif axiom == "cartan":
@@ -331,27 +404,37 @@ def verify_axiom(axiom: str, p: Prime, degree_bound: int,
             w = bidegree_of(xy).weight
             n = 0
             while w + n * (pv - 1) <= degree_bound:
-                parts = [apply_P_polynomial(j, x, p) * apply_P_polynomial(n - j, y, p)
+                parts = [_power_element(j, x, p) * _power_element(n - j, y, p)
                          for j in range(n + 1)]
                 rhs = sum(parts[1:], parts[0])
                 report.record(f"P^{n}(({name_x})*({name_y})) = sum of products",
-                              _apply_raw(pv, n, xy.terms), rhs.terms)
+                              power(n, xy.terms), rhs.terms)
                 n += 1
 
     elif axiom == "adem":
+        # (a, b) -> the (coeff, t) of the nonzero terms coeff * P^(a+b-t) P^t
+        # of the Adem sum for P^a P^b, which depend on (a, b) only
+        adem: dict[tuple[int, int], list[tuple[int, int]]] = {}
         for name, x in pool:
-            composite = _composer(pv, x.terms)
             # the pairs with w + (a + b)(p - 1) <= bound, and a < pb
             top = (degree_bound - bidegree_of(x).weight) // (pv - 1)
-            for b in range(1, top + 1):
-                for a in range(min(pv * b, top - b + 1)):
-                    parts = []
+            pairs = [(a, b) for b in range(1, top + 1)
+                     for a in range(min(pv * b, top - b + 1))]
+            wanted: dict[int, set[int]] = {}  # b -> the a of each P^a(P^b(x)) read
+            for a, b in pairs:
+                if (a, b) not in adem:
+                    adem[a, b] = []
                     for t in range(a // pv + 1):
                         c = binom_mod_p((pv - 1) * (b - t) - 1, a - pv * t, p)
                         coeff = -c % pv if (a + t) % 2 else c
                         if coeff:
-                            parts.append((coeff, composite(a + b - t, t)))
-                    report.record(f"P^{a}P^{b}({name}) = Adem sum",
-                                  composite(a, b), _combine(pv, parts))
-    release_seed_tables()
-    return report
+                            adem[a, b].append((coeff, t))
+                wanted.setdefault(b, set()).add(a)
+                for _, t in adem[a, b]:
+                    wanted.setdefault(t, set()).add(a + b - t)
+            # one pass over the terms of x, then one over those of each P^b(x)
+            powers = _apply_raw(pv, sorted(wanted), x.terms)
+            rows = {b: _apply_raw(pv, sorted(ops), powers[b]) for b, ops in wanted.items()}
+            for a, b in pairs:
+                rhs = _combine(pv, [(coeff, rows[t][a + b - t]) for coeff, t in adem[a, b]])
+                report.record(f"P^{a}P^{b}({name}) = Adem sum", rows[b][a], rhs)

@@ -29,7 +29,10 @@ passed.
 
 The sum runs over a number of partitions that grows fast with p and i, so
 it is bounded below in closed form and then counted, in O(i p^2) steps,
-and refused above MAX_SEED_PARTITIONS.
+and refused above MAX_SEED_PARTITIONS.  Each partition also multiplies
+polynomials in sigma of up to min(i, W/p) + 1 coefficients, so a seed is
+refused, too, when its count times the square of that exceeds
+MAX_SEED_WORK.
 """
 
 from __future__ import annotations
@@ -45,6 +48,11 @@ MAX_SEED_PARTITIONS = 100_000
 # mu of 46 gives one partition of the sum, (W - 46, mu), so the count is over
 # the cap.  From p = 97 on, that holds whenever 0 < i < j.
 _UNCOUNTED_PART, _UNCOUNTED_LEAST = 46, 105_558
+# the most steps a seed may take, counted as its partitions times the square
+# of its polynomials' length min(i, W/p) + 1: P^3(c6) at p = 7 takes
+# 703 * 4^2; P^400(c401) at p = 2, 401 * 401^2, takes about 3 s; and
+# P^1000(c1001), 1001 * 1001^2, took 133 s
+MAX_SEED_WORK = 10 ** 8
 
 
 def _box(n: int, parts: int, largest: int) -> list[int]:
@@ -96,14 +104,21 @@ def seed_partition_floor(p: int, i: int, j: int) -> int:
 
 def _check_size(p: int, i: int, j: int):
     """Raise ValueError when the sum for P^i(c_j) would run over more than
-    MAX_SEED_PARTITIONS partitions; uncounted when the floor shows it."""
+    MAX_SEED_PARTITIONS partitions, uncounted when the floor shows it, or
+    take more than MAX_SEED_WORK steps."""
     floor = seed_partition_floor(p, i, j)
     if floor > MAX_SEED_PARTITIONS:
         count = f"more than {floor}"
     else:
         count = seed_partition_count(p, i, j)
         if count <= MAX_SEED_PARTITIONS:
-            return
+            size = min(i, (j + i * (p - 1)) // p) + 1
+            work = count * size * size
+            if work <= MAX_SEED_WORK:
+                return
+            raise ValueError(f"P^{i}(c{j}) at p={p} takes {work} steps ({count} "
+                             f"partitions times {size}^2), more than the cap "
+                             f"of {MAX_SEED_WORK}")
     raise ValueError(f"P^{i}(c{j}) at p={p} sums over {count} partitions, "
                      f"more than the cap of {MAX_SEED_PARTITIONS}")
 
@@ -143,7 +158,8 @@ def reduced_power_on_elementary(p: int, i: int, j: int) -> dict[tuple[int, ...],
     of c_k (no trailing zeros).  Cached; do not mutate the result.
 
     Raises ValueError, before any summing, when the sum would run over more
-    than MAX_SEED_PARTITIONS partitions."""
+    than MAX_SEED_PARTITIONS partitions or take more than MAX_SEED_WORK
+    steps."""
     if i > j:
         return {}
     if not j:
@@ -211,4 +227,7 @@ def reduced_power_on_elementary(p: int, i: int, j: int) -> dict[tuple[int, ...],
             coeff = augmented_monomial(parts, weight)[i] // factorials % p
             if coeff:
                 out[tuple(exps)] = coeff
+    # augmented_monomial refers to itself through its closure cell; breaking
+    # that cycle lets the table go as soon as it is released
+    del augmented_monomial
     return out

@@ -11,10 +11,10 @@ if str(SRC) not in sys.path:
 @pytest.fixture
 def planted_seed(monkeypatch):
     """Plant one wrong seed, P^0(c2) = 2*c2 at p = 3, so that the axiom
-    harness has identities to fail.  The Steenrod caches and the seeds'
-    shared tables are emptied before and after, so no value built from the
-    wrong seed outlives it."""
-    from stablyfree import steenrod, symmetric
+    harness has identities to fail.  The cached seeds, the image tables
+    and the seeds' shared tables are emptied before and after, so no value
+    built from the wrong seed outlives it."""
+    from stablyfree import steenrod
 
     true_seed = steenrod.reduced_power_on_elementary
 
@@ -23,8 +23,7 @@ def planted_seed(monkeypatch):
 
     def clear():
         true_seed.cache_clear()
-        symmetric.release_seed_tables()
-        steenrod._power_on_monomial.cache_clear()
+        steenrod._release_tables()
 
     clear()
     monkeypatch.setattr(steenrod, "reduced_power_on_elementary", planted)

@@ -55,6 +55,19 @@ def test_parse_polynomial_rejects_garbage():
         assert str(exc.value) == message, bad
 
 
+def test_parse_polynomial_compiles_no_pattern_when_called(monkeypatch):
+    # the one token pattern, compiled on import, captures a generator's
+    # letters and index itself; no re call is left to compile another
+    monkeypatch.setattr(cli, "re", None)
+    p = Prime(5)
+    alg = polynomial_algebra(p, 12)
+    assert parse_polynomial("2*c1^2*c12 - c3", p) == (
+        alg.monomial_element({"c1": 2, "c12": 1}, coeff=2) + alg.gen("c3") * 4)
+    for bad in ("a2", "c0", "c01", "x1*c2", "c1 c2"):
+        with pytest.raises(cli.CliError):
+            parse_polynomial(bad, p)
+
+
 def test_parse_polynomial_scalars_and_cancellation():
     p = Prime(2)
     assert parse_polynomial("2", p).is_zero()
@@ -144,6 +157,21 @@ def test_steenrod_seed_cap_names_count_and_cap():
     assert (code, out) == (2, "")
     assert err == ("error: P^6(c7) at p=11 sums over 567377 partitions, "
                    "more than the cap of 100000\n")
+
+
+def test_steenrod_seed_work_cap_names_work_and_cap(monkeypatch):
+    # P^1000(c1001) at p=2 sums over 1001 partitions, under the partition
+    # cap, but of polynomials 1001 long; it is refused before any summing
+    from stablyfree import symmetric
+
+    def no_summing(*args):
+        raise AssertionError("the seed started summing")
+
+    monkeypatch.setattr(symmetric, "_partitions", no_summing)
+    code, out, err = run_cli("steenrod", "-p", "2", "--poly", "c1001", "--op", "1000")
+    assert (code, out) == (2, "")
+    assert err == ("error: P^1000(c1001) at p=2 takes 1003003001 steps (1001 "
+                   "partitions times 1001^2), more than the cap of 100000000\n")
 
 
 def test_steenrod_json():

@@ -186,24 +186,74 @@ def test_oracle_agreement_on_products(p):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_oracle_agreement_through_target_weight_12(p):
-    # every monomial of weight <= 6 in c1..c6, every P^i landing in weight
-    # <= 12; i runs down first and then up, each time from an empty cache,
-    # so images of shared sub-monomials are reused in either order
+    # every monomial of weight <= 6 in c1..c6, and [P^0 .. P^top] of each,
+    # landing in weight <= 12, three ways: one i at a time through
+    # apply_P_polynomial, which starts from an empty image table; one i at a
+    # time through one shared table, i running down first and then up, so
+    # images of shared sub-monomials are reused in either order; and every i
+    # in one pass
     prime = Prime(p)
     A = polynomial_algebra(prime, 6)
     cases = []
     for w in range(7):
         for exps in chern_monomials_of_weight(w, 6):
-            ops = list(range((12 - w) // (p - 1) + 1))
-            wanted = {i: brute_force_reduced_power(i, exps, p) for i in ops}
+            ops = range((12 - w) // (p - 1) + 1)
+            wanted = [brute_force_reduced_power(i, exps, p) for i in ops]
             x = A.monomial_element({f"c{j}": d for j, d in exps.items()})
             cases.append((exps, x, ops, wanted))
+
+    def as_map(terms):
+        return _as_exponent_map(polynomial_algebra(prime, max(map(len, terms), default=1))
+                                .from_terms(terms))
+
+    for exps, x, ops, wanted in cases:
+        for i in ops:
+            assert _as_exponent_map(apply_P_polynomial(i, x, prime)) == wanted[i], (p, i, exps)
+    assert not steenrod._IMAGES
     for descending in (True, False):
-        steenrod._power_on_monomial.cache_clear()
         for exps, x, ops, wanted in cases:
             for i in (reversed(ops) if descending else ops):
-                mine = _as_exponent_map(apply_P_polynomial(i, x, prime))
-                assert mine == wanted[i], (p, i, exps, descending)
+                assert as_map(steenrod._apply_raw(p, (i,), x.terms)[i]) == wanted[i]
+        steenrod._release_tables()
+    for exps, x, ops, wanted in cases:
+        row = steenrod._apply_raw(p, ops, x.terms)
+        assert [as_map(row[i]) for i in ops] == wanted, (p, exps)
+    steenrod._release_tables()
+
+
+def test_a_single_power_asks_for_the_seeds_it_needs(monkeypatch):
+    # each half of c1*c4 and c2*c5 is asked only for the indices the Cartan
+    # sum reaches, so P^4(c1*c4) at p=5 needs neither P^1(c4) nor P^2(c4);
+    # P^0 of a half is the identity, not a seed
+    asked = set()
+    seed = steenrod.reduced_power_on_elementary
+
+    def spy(p, i, j):
+        asked.add((p, i, j))
+        return seed(p, i, j)
+
+    monkeypatch.setattr(steenrod, "reduced_power_on_elementary", spy)
+    for p, mono, i, want in ((5, {"c1": 1, "c4": 1}, 4, {(5, 1, 1), (5, 3, 4), (5, 4, 4)}),
+                             (7, {"c2": 1, "c5": 1}, 2,
+                              {(7, 1, 2), (7, 1, 5), (7, 2, 2), (7, 2, 5)})):
+        asked.clear()
+        x = polynomial_algebra(Prime(p), 5).monomial_element(mono)
+        apply_P_polynomial(i, x, Prime(p))
+        assert asked == want, (p, mono, i)
+
+
+def test_no_image_table_outlives_its_call():
+    x = polynomial_algebra(P3, 4).monomial_element({"c1": 2, "c4": 1})
+    assert not apply_P_polynomial(2, x, P3).is_zero()
+    assert not steenrod._IMAGES
+    for axiom in steenrod.AXIOMS:
+        assert verify_axiom(axiom, P3, 10).checks
+        assert not steenrod._IMAGES
+    # and when a seed is refused midway
+    big = polynomial_algebra(Prime(11), 7).monomial_element({"c1": 1, "c7": 1})
+    with pytest.raises(ValueError, match="more than the cap"):
+        apply_P_polynomial(6, big, Prime(11))
+    assert not steenrod._IMAGES
 
 
 @pytest.mark.parametrize("p, j", [(23, 1), (11, 2), (7, 3), (5, 4), (41, 1), (2, 400)])
@@ -345,13 +395,11 @@ def test_adem_p3_bound_20():
 
 
 def test_report_values_do_not_alias_module_caches():
-    steenrod._power_on_monomial.cache_clear()
     steenrod.reduced_power_on_elementary.cache_clear()
     report = verify_axiom("adem", P2, 16)
-    # the memo of P^b(x) and P^a(P^b(x)) lives for one call only: the module
-    # cache holds no more than the 1125 sub-monomial images computed here
-    # when each identity was evaluated through apply_P_polynomial
-    assert steenrod._power_on_monomial.cache_info().currsize <= 1125
+    # the rows of P^a(P^b(x)) and the images behind them live for one call
+    # only: the image table is empty when it returns
+    assert not steenrod._IMAGES
 
     def composites():
         return [apply_P_polynomial(a, apply_P_polynomial(b, x, P2), P2).render()

@@ -227,6 +227,30 @@ def test_oversized_seeds_raise_before_summing(monkeypatch):
     assert reduced_power_on_elementary(10007, 6, 5) == {}
 
 
+def test_seeds_over_the_work_cap_raise_before_summing(monkeypatch):
+    # P^3(c6) at p=7, the largest seed that the tests, CI and the benchmark
+    # reach, takes 703 partitions times 4^2 = 11 248 steps
+    def no_summing(*args):
+        raise AssertionError("the seed started summing")
+
+    reduced_power_on_elementary.cache_clear()
+    monkeypatch.setattr(symmetric, "_partitions", no_summing)
+    monkeypatch.setattr(symmetric, "MAX_SEED_WORK", 11_247)
+    with pytest.raises(ValueError) as exc:
+        reduced_power_on_elementary(7, 3, 6)
+    assert str(exc.value) == ("P^3(c6) at p=7 takes 11248 steps (703 partitions "
+                              "times 4^2), more than the cap of 11247")
+    monkeypatch.setattr(symmetric, "MAX_SEED_WORK", 11_248)
+    symmetric._check_size(7, 3, 6)
+    monkeypatch.undo()
+    # at the cap of 10^8, P^400(c401) at p=2 (401 * 401^2) is allowed, and
+    # P^1000(c1001) (1001 * 1001^2) is not
+    assert symmetric.MAX_SEED_WORK == 10 ** 8
+    symmetric._check_size(2, 400, 401)
+    with pytest.raises(ValueError, match="takes 1003003001 steps"):
+        symmetric._check_size(2, 1000, 1001)
+
+
 def _wu(i, j):
     """Wu's formula at p = 2: P^i(c_j) = sum_t C(j-i+t-1, t) c_(i-t) c_(j+t),
     with c_0 = 1, as {exps: 1} over the odd binomials."""
@@ -287,7 +311,6 @@ def test_the_steenrod_layer_releases_the_shared_tables():
     x = steenrod.polynomial_algebra(Prime(7), 7).monomial_element({"c3": 1, "c4": 1})
     for compute in (lambda: steenrod.apply_P_polynomial(2, x, Prime(7)),
                     lambda: steenrod.verify_axiom("adem", Prime(3), 10)):
-        steenrod._power_on_monomial.cache_clear()
         seeds = reduced_power_on_elementary.cache_info().currsize
         compute()
         assert tables().currsize == 0
