@@ -36,6 +36,9 @@ def _prime(value: int) -> Prime:
 # a token is a number, a generator (its letters and index captured, so that
 # no other pattern is compiled), or an operator
 _TOKEN = re.compile(r"\s*(\d+|([a-zA-Z]+)(\d+)|[+\-*^])")
+# an odd generator for --class, and FAMILY:SIZE for --group
+_CLASS = re.compile(r"a(\d+)")
+_GROUP = re.compile(r"(GL|Sp|SO):(\d+)")
 # the largest J of a cJ in a polynomial: the algebra of the input has J
 # generators, built before any seed is checked (c400001 took 2.2 s and
 # 168 MB), and 20 000 of them take about 0.1 s.  It stays above 10 001, so
@@ -144,7 +147,7 @@ def cmd_steenrod(args) -> int:
             raise CliError("--class needs --group FAMILY:SIZE")
         model = _parse_group(args.group)
         model.check_prime(p)
-        m = re.fullmatch(r"a(\d+)", args.class_name)
+        m = _CLASS.fullmatch(args.class_name)
         if not m:
             raise CliError(f"--class expects an odd generator aJ, got {args.class_name!r}")
         result = apply_P_primitive(args.op, int(m.group(1)), model, p)
@@ -162,7 +165,7 @@ def cmd_steenrod(args) -> int:
 
 
 def _parse_group(text: str) -> GroupModel:
-    m = re.fullmatch(r"(GL|Sp|SO):(\d+)", text)
+    m = _GROUP.fullmatch(text)
     if not m:
         raise CliError(f"--group expects FAMILY:SIZE (e.g. Sp:4), got {text!r}")
     return model_from_matrix_size(m.group(1), int(m.group(2)))

@@ -12,6 +12,15 @@ for only where a Cartan sum reaches it.  The records live for one
 top-level call.  On the primitive odd generators of a group model the
 action is the closed-form binomial rule.
 
+Inside one top-level call every monomial of the records, of their images
+and of the sums over them is one packed int: the exponent of c_k sits in
+slot k-1, little-endian, and every slot has the width of the largest
+weight the call can reach (1, 2, 4 or 8 bytes, or wider).  No exponent
+exceeds the weight of its monomial, so no slot carries into the next, and
+the product of two monomials in a Cartan sum is one int addition.  Terms
+are packed where they enter a call (its argument, the seeds) and unpacked
+where they leave it (its result, the sides of an identity when read).
+
 A verification harness checks the two engines against the defining
 axioms.  For the Adem relations it computes every P^a(P^b(x)) an identity
 reads in one pass over the terms of P^b(x), per b; at p = 2 every residue
@@ -20,9 +29,12 @@ is 1, so its sums keep the monomials met an odd number of times.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
+from functools import partial
 from itertools import accumulate
-from operator import add, mul
+from operator import mul
+from sys import byteorder
 
 from .algebra import Element, Exps, bidegree_of, polynomial_algebra
 from .modp import Prime, binom_mod_p
@@ -56,24 +68,95 @@ def _weight(exps: Exps) -> int:
     return sum(map(mul, exps, range(1, len(exps) + 1)))
 
 
-# The images P^i of the even monomials met in one top-level call: per prime,
-# {exps: [exps, weight, halves, images]}, one record per monomial.  `halves`
-# is None for a single c_j or 1, whose images are the seeds; for any other
-# monomial it is () until the first image that needs the Cartan split, and
-# then the records of the two halves.  `images` is {i: P^i(exps)}, filled in
-# as asked.  apply_P_polynomial and verify_axiom empty the table when they
-# return, so its size is bounded by one call's work.
-_IMAGES: dict[int, dict[Exps, list]] = {}
+# the packed form of one monomial, by slot width in bytes: 1-byte slots go
+# through bytes, 2-, 4- and 8-byte slots through an array of that itemsize,
+# wider ones through shifts
+def _pack_bytes(exps: Exps) -> int:
+    return int.from_bytes(bytes(exps), "little")
 
 
-def _record(table: dict[Exps, list], exps: Exps) -> list:
-    """A new record for exps in the table, with no images yet."""
-    rec = table[exps] = [exps, _weight(exps), None if sum(exps) <= 1 else (), {}]
+def _unpack_bytes(key: int) -> Exps:
+    return tuple(key.to_bytes((key.bit_length() + 7) // 8, "little"))
+
+
+_ARRAY_CODES = {array(code).itemsize: code for code in "HILQ"}
+_SWAP = byteorder == "big"  # an array holds its items in machine byte order
+
+
+def _pack_array(code: str, exps: Exps) -> int:
+    items = array(code, exps)
+    if _SWAP:
+        items.byteswap()
+    return int.from_bytes(items, "little")
+
+
+def _unpack_array(code: str, width: int, key: int) -> Exps:
+    # the top slot holds the highest set bit, so no trailing slot is zero
+    items = array(code, key.to_bytes(-(-key.bit_length() // (8 * width)) * width, "little"))
+    if _SWAP:
+        items.byteswap()
+    return tuple(items)
+
+
+def _pack_shifts(bits: int, exps: Exps) -> int:
+    key = 0
+    for e in reversed(exps):
+        key = key << bits | e
+    return key
+
+
+def _unpack_shifts(bits: int, key: int) -> Exps:
+    mask, exps = (1 << bits) - 1, []
+    while key:
+        exps.append(key & mask)
+        key >>= bits
+    return tuple(exps)
+
+
+# The image records of the running top-level call: per prime and slot width
+# in bits, {key: [key, weight, halves, images]}, one record per monomial,
+# keyed by the monomial packed as in _Table.  `halves` is None for a single
+# c_j or 1, whose images are the seeds; for any other monomial it is () until
+# the first image that needs the Cartan split, and then the records of the
+# two halves.  `images` is {i: P^i(key)}, packed alike, filled in as asked.
+# apply_P_polynomial and verify_axiom empty the table when they return, so
+# its size is bounded by one call's work.
+_IMAGES: dict[tuple[int, int], dict[int, list]] = {}
+
+
+class _Table:
+    """The image records at prime p of a call that reaches no weight above
+    `top`, with the codec that packs its monomials: each slot is the fewest
+    of 1, 2, 4 or 8 bytes (or more) that hold `top`.  Calls that agree on p
+    and the slot width share one table of records."""
+
+    __slots__ = ("p", "bits", "encode", "decode", "records")
+
+    def __init__(self, p: int, top: int):
+        width = max(1, (top.bit_length() + 7) // 8)
+        if width == 1:
+            self.encode, self.decode = _pack_bytes, _unpack_bytes
+        elif width <= 8:
+            width = 2 if width == 2 else 4 if width <= 4 else 8
+            code = _ARRAY_CODES[width]
+            self.encode = partial(_pack_array, code)
+            self.decode = partial(_unpack_array, code, width)
+        else:
+            self.encode = partial(_pack_shifts, 8 * width)
+            self.decode = partial(_unpack_shifts, 8 * width)
+        self.p, self.bits = p, 8 * width
+        self.records = _IMAGES.setdefault((p, self.bits), {})
+
+
+def _record(records: dict[int, list], key: int, weight: int, factors: int) -> list:
+    """A new record for the packed monomial `key`, of the given weight and
+    number of factors, with no images yet."""
+    rec = records[key] = [key, weight, None if factors <= 1 else (), {}]
     return rec
 
 
-def _image(p: int, table: dict[Exps, list], rec: list, i: int) -> dict[Exps, int]:
-    """P^i of the record's monomial, as {exps: residue mod p}, stored in the
+def _image(table: _Table, rec: list, i: int) -> dict[int, int]:
+    """P^i of the record's monomial, as {key: residue mod p}, stored in the
     record.
 
     A single c_j (or 1) reads the seed from the symmetric layer.  Any other
@@ -83,20 +166,27 @@ def _image(p: int, table: dict[Exps, list], rec: list, i: int) -> dict[Exps, int
     that sum reaches.  Halving keeps the recursion about log2(degree) deep,
     and c_j^e splits into equal halves that share one record.
     """
-    exps, _, halves, images = rec
+    key, weight, halves, images = rec
+    p = table.p
     if halves is None:
-        out = reduced_power_on_elementary(p, i, len(exps))
+        # the key of c_j fills j slots
+        seed = reduced_power_on_elementary(p, i, -(-key.bit_length() // table.bits))
+        encode = table.encode
+        out = {encode(e): c for e, c in seed.items()}
     elif not i:
-        out = {exps: 1}
+        out = {key: 1}
     else:
         if not halves:
+            exps = table.decode(key)
             factors = list(accumulate(exps))  # factors[k]: how many are c_1 .. c_{k+1}
-            h = factors[-1] // 2  # u is the first h factors
-            k = bisect_left(factors, h)  # the h-th factor is c_{k+1}
-            h -= factors[k - 1] if k else 0  # u's share of the c_{k+1}
-            halves = rec[2] = [table.get(half) or _record(table, half)
-                               for half in (exps[:k] + (h,),
-                                            (0,) * k + (exps[k] - h,) + exps[k + 1:])]
+            n = factors[-1] // 2  # u is the first n factors
+            k = bisect_left(factors, n)  # the n-th factor is c_{k+1}
+            u_exps = exps[:k] + (n - (factors[k - 1] if k else 0),)
+            u, w_u = table.encode(u_exps), _weight(u_exps)
+            records = table.records
+            halves = rec[2] = [records.get(u) or _record(records, u, w_u, n),
+                               records.get(key - u)
+                               or _record(records, key - u, weight - w_u, factors[-1] - n)]
         (u, w_u, _, u_images), (v, w_v, _, v_images) = left_rec, right_rec = halves
         out = {}
         for a in range(max(0, i - w_v), min(i, w_u) + 1):
@@ -104,7 +194,7 @@ def _image(p: int, table: dict[Exps, list], rec: list, i: int) -> dict[Exps, int
             if a:
                 left = u_images.get(a)
                 if left is None:
-                    left = _image(p, table, left_rec, a)
+                    left = _image(table, left_rec, a)
                 if not left:
                     continue
             else:
@@ -112,49 +202,56 @@ def _image(p: int, table: dict[Exps, list], rec: list, i: int) -> dict[Exps, int
             if a < i:
                 right = v_images.get(i - a)
                 if right is None:
-                    right = _image(p, table, right_rec, i - a)
+                    right = _image(table, right_rec, i - a)
             else:
                 right = {v: 1}
             right = right.items()
             for e1, c1 in left.items():
-                n1 = len(e1)
                 for e2, c2 in right:
-                    # the entrywise sum: one of the two tails is empty
-                    e = tuple(map(add, e1, e2)) + e1[len(e2):] + e2[n1:]
+                    e = e1 + e2  # the product of the two monomials
                     out[e] = out.get(e, 0) + c1 * c2
         out = {e: r for e, c in out.items() if (r := c % p)}
     images[i] = out
     return out
 
 
-def _apply_raw(p: int, ops, terms: dict[Exps, int]) -> dict[int, dict[Exps, int]]:
+def _apply_raw(table: _Table, ops, terms: dict[int, int]) -> dict[int, dict[int, int]]:
     """P^i for each i of the ascending `ops`, on a polynomial in c_1, c_2, ...
-    given as {exps: residue mod p}, in one pass over its terms: {i: a new
-    {exps: residue mod p}}.  Instability drops the terms of weight below i.
-    The images stay in _IMAGES, for later calls to share, until it is
-    emptied."""
-    table = _IMAGES.setdefault(p, {})
-    # at p = 2 every residue is 1, so a sum keeps the monomials it meets an
-    # odd number of times
-    sums = {i: set() if p == 2 else {} for i in ops}
-    for exps, coeff in terms.items():
-        rec = table.get(exps) or _record(table, exps)
+    given as {key: residue mod p}, packed as in the table, in one pass over
+    its terms: {i: a new {key: residue mod p}}.  Instability drops the terms
+    of weight below i.  The images stay in the table, for later calls to
+    share, until _IMAGES is emptied."""
+    records, decode = table.records, table.decode
+    parts = {i: [] for i in ops}  # i -> the (coeff, P^i(term)) to sum
+    for key, coeff in terms.items():
+        rec = records.get(key)
+        if rec is None:
+            exps = decode(key)
+            rec = _record(records, key, _weight(exps), sum(exps))
         w, images = rec[1], rec[3]
         for i in ops:
             if i > w:
                 break
             image = images.get(i)
             if image is None:
-                image = _image(p, table, rec, i)
-            out = sums[i]
-            if p == 2:
-                out.symmetric_difference_update(image)
-            else:
-                for e, c in image.items():
-                    out[e] = out.get(e, 0) + coeff * c
-    if p == 2:
-        return {i: dict.fromkeys(out, 1) for i, out in sums.items()}
-    return {i: {e: r for e, c in out.items() if (r := c % p)} for i, out in sums.items()}
+                image = _image(table, rec, i)
+            parts[i].append((coeff, image))
+    return {i: _combine(table.p, part) for i, part in parts.items()}
+
+
+def _combine(p: int, parts) -> dict:
+    """Sum of coeff * terms over the (coeff, terms) pairs of `parts`, as a
+    new {monomial: residue mod p} without zero residues."""
+    if p == 2:  # every coeff and residue is 1: keep what an odd number hold
+        odd = set()
+        for _, terms in parts:
+            odd.symmetric_difference_update(terms)
+        return dict.fromkeys(odd, 1)
+    out = {}
+    for coeff, terms in parts:
+        for e, c in terms.items():
+            out[e] = out.get(e, 0) + coeff * c
+    return {e: r for e, c in out.items() if (r := c % p)}
 
 
 def apply_P_polynomial(i: int, x: Element, p: Prime) -> Element:
@@ -173,22 +270,23 @@ def apply_P_polynomial(i: int, x: Element, p: Prime) -> Element:
     if x.algebra != polynomial_algebra(p, len(x.algebra.generators)):
         raise ValueError("expected an element of a polynomial algebra in c1, c2, ...")
 
+    top = max(map(_weight, x.terms), default=0) + i * (p.value - 1)
     try:
-        return _power_element(i, x, p)
+        return _power_element(i, x, p, _Table(p.value, top))
     finally:
         _release_tables()
 
 
-def _power_element(i: int, x: Element, p: Prime) -> Element:
-    """P^i(x) for a checked x, through the shared image tables."""
-    pv = p.value
+def _power_element(i: int, x: Element, p: Prime, table: _Table) -> Element:
+    """P^i(x) for a checked x, through the table of the running call."""
+    pv, encode, decode = p.value, table.encode, table.decode
     terms = x.terms
-    result = _apply_raw(pv, (i,), terms)[i]
+    result = _apply_raw(table, (i,), {encode(e): c for e, c in terms.items()})[i]
     # P^a(c_k) involves c_1 .. c_{k + a(p-1)} only, so by the Cartan formula
     # the image of a monomial needs no index above its largest one plus
     # i(p-1); monomials of weight below i contribute nothing
     size = max([len(e) + i * (pv - 1) for e in terms if i <= _weight(e)] + [1])
-    return polynomial_algebra(p, size).from_terms(result)
+    return polynomial_algebra(p, size).from_terms({decode(e): c for e, c in result.items()})
 
 
 def _release_tables():
@@ -220,24 +318,37 @@ def _fields_equal(self, other) -> bool:
     are mutable, so they are not hashable."""
     if other.__class__ is not self.__class__:
         return NotImplemented
-    return all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
+    return all(getattr(self, k) == getattr(other, k) for k in self._fields)
 
 
 class AxiomCheck:
     """One identity lhs = rhs between polynomials in c_1, c_2, ..., each
-    side kept as {exps: residue mod p} and rendered only when read."""
+    side kept packed as in the image table of its call, with that table's
+    decoder, and decoded or rendered only when read."""
 
-    __slots__ = ("description", "p", "lhs_terms", "rhs_terms", "passed")
+    __slots__ = ("description", "p", "_lhs", "_rhs", "_decode", "passed")
+    _fields = ("description", "p", "lhs_terms", "rhs_terms", "passed")
 
-    def __init__(self, description: str, p: int, lhs_terms: dict[Exps, int],
-                 rhs_terms: dict[Exps, int], passed: bool):
+    def __init__(self, description: str, p: int, lhs: dict[int, int],
+                 rhs: dict[int, int], passed: bool, decode):
         self.description = description
         self.p = p
-        self.lhs_terms = lhs_terms
-        self.rhs_terms = rhs_terms
+        self._lhs, self._rhs, self._decode = lhs, rhs, decode
         self.passed = passed
 
     __eq__, __hash__ = _fields_equal, None
+
+    @property
+    def lhs_terms(self) -> dict[Exps, int]:
+        """The left side as {exps: residue mod p}, a new dict on each read."""
+        decode = self._decode
+        return {decode(e): c for e, c in self._lhs.items()}
+
+    @property
+    def rhs_terms(self) -> dict[Exps, int]:
+        """The right side as {exps: residue mod p}, a new dict on each read."""
+        decode = self._decode
+        return {decode(e): c for e, c in self._rhs.items()}
 
     @property
     def lhs(self) -> str:
@@ -254,7 +365,7 @@ def _render(p: int, terms: dict[Exps, int]) -> str:
 
 
 class AxiomReport:
-    __slots__ = ("axiom", "p", "degree_bound", "checks")
+    __slots__ = _fields = ("axiom", "p", "degree_bound", "checks")
 
     def __init__(self, axiom: str, p: int, degree_bound: int,
                  checks: list[AxiomCheck] | None = None):
@@ -272,8 +383,10 @@ class AxiomReport:
     def failures(self) -> list[AxiomCheck]:
         return [c for c in self.checks if not c.passed]
 
-    def record(self, description: str, lhs: dict[Exps, int], rhs: dict[Exps, int]):
-        self.checks.append(AxiomCheck(description, self.p, lhs, rhs, lhs == rhs))
+    def record(self, description: str, lhs: dict[int, int], rhs: dict[int, int],
+               decode):
+        """Add the identity lhs = rhs, both sides packed for `decode`."""
+        self.checks.append(AxiomCheck(description, self.p, lhs, rhs, lhs == rhs, decode))
 
     def summary(self) -> str:
         status = "ok" if self.passed else "FAILED"
@@ -332,21 +445,6 @@ def _test_classes(p: Prime, degree_bound: int,
     return pool
 
 
-def _combine(p: int, parts) -> dict[Exps, int]:
-    """Sum of coeff * terms over the (coeff, terms) pairs of `parts`, as a
-    new {exps: residue mod p} without zero residues."""
-    if p == 2:  # every coeff and residue is 1: keep what an odd number hold
-        odd: set[Exps] = set()
-        for _, terms in parts:
-            odd.symmetric_difference_update(terms)
-        return dict.fromkeys(odd, 1)
-    out: dict[Exps, int] = {}
-    for coeff, terms in parts:
-        for e, c in terms.items():
-            out[e] = out.get(e, 0) + coeff * c
-    return {e: r for e, c in out.items() if (r := c % p)}
-
-
 def verify_axiom(axiom: str, p: Prime, degree_bound: int,
                  n_generators: int = 5) -> AxiomReport:
     """Exhaustively check one defining property on a deterministic pool of
@@ -359,37 +457,50 @@ def verify_axiom(axiom: str, p: Prime, degree_bound: int,
         raise ValueError("need at least one generator in the test pool")
     report = AxiomReport(axiom, p.value, degree_bound)
     try:
-        _check_axiom(report, p, _test_classes(p, degree_bound, n_generators))
+        # every class of the pool, and every value the harness computes,
+        # has weight at most the bound
+        _check_axiom(report, p, _test_classes(p, degree_bound, n_generators),
+                     _Table(p.value, degree_bound))
     finally:
         _release_tables()
     return report
 
 
-def _check_axiom(report: AxiomReport, p: Prime, pool: list[tuple[str, Element]]):
-    """Record in `report` every identity of its axiom on the pool."""
+def _check_axiom(report: AxiomReport, p: Prime, pool: list[tuple[str, Element]],
+                 table: _Table):
+    """Record in `report` every identity of its axiom on the pool, computed
+    through the table."""
     axiom, degree_bound, pv = report.axiom, report.degree_bound, p.value
+    encode, decode = table.encode, table.decode
 
-    def power(i: int, terms: dict[Exps, int]) -> dict[Exps, int]:
-        return _apply_raw(pv, (i,), terms)[i]
+    def packed(x: Element) -> dict[int, int]:
+        return {encode(e): c for e, c in x.terms.items()}
+
+    def power(i: int, terms: dict[int, int]) -> dict[int, int]:
+        return _apply_raw(table, (i,), terms)[i]
+
+    def record(description: str, lhs: dict[int, int], rhs: dict[int, int]):
+        report.record(description, lhs, rhs, decode)
 
     if axiom == "unit":
         for name, x in pool:
-            report.record(f"P^0({name}) = {name}", power(0, x.terms), x.terms)
+            terms = packed(x)
+            record(f"P^0({name}) = {name}", power(0, terms), terms)
 
     elif axiom == "pth_power":
         for name, x in pool:
             w = bidegree_of(x).weight
             if w * pv <= degree_bound:
-                report.record(f"P^{w}({name}) = ({name})^{pv}",
-                              power(w, x.terms), (x ** pv).terms)
+                record(f"P^{w}({name}) = ({name})^{pv}", power(w, packed(x)),
+                       packed(x ** pv))
 
     elif axiom == "instability":
         for name, x in pool:
             w = bidegree_of(x).weight
             n = w + 1
+            terms = packed(x)
             while w + n * (pv - 1) <= degree_bound:
-                report.record(f"P^{n}({name}) = 0 (weight {w} < {n})",
-                              power(n, x.terms), {})
+                record(f"P^{n}({name}) = 0 (weight {w} < {n})", power(n, terms), {})
                 n += 1
 
     elif axiom == "cartan":
@@ -403,12 +514,12 @@ def _check_axiom(report: AxiomReport, p: Prime, pool: list[tuple[str, Element]])
                 continue
             w = bidegree_of(xy).weight
             n = 0
+            terms = packed(xy)
             while w + n * (pv - 1) <= degree_bound:
-                parts = [_power_element(j, x, p) * _power_element(n - j, y, p)
+                parts = [_power_element(j, x, p, table) * _power_element(n - j, y, p, table)
                          for j in range(n + 1)]
-                rhs = sum(parts[1:], parts[0])
-                report.record(f"P^{n}(({name_x})*({name_y})) = sum of products",
-                              power(n, xy.terms), rhs.terms)
+                record(f"P^{n}(({name_x})*({name_y})) = sum of products",
+                       power(n, terms), packed(sum(parts[1:], parts[0])))
                 n += 1
 
     elif axiom == "adem":
@@ -433,8 +544,8 @@ def _check_axiom(report: AxiomReport, p: Prime, pool: list[tuple[str, Element]])
                 for _, t in adem[a, b]:
                     wanted.setdefault(t, set()).add(a + b - t)
             # one pass over the terms of x, then one over those of each P^b(x)
-            powers = _apply_raw(pv, sorted(wanted), x.terms)
-            rows = {b: _apply_raw(pv, sorted(ops), powers[b]) for b, ops in wanted.items()}
+            powers = _apply_raw(table, sorted(wanted), packed(x))
+            rows = {b: _apply_raw(table, sorted(ops), powers[b]) for b, ops in wanted.items()}
             for a, b in pairs:
                 rhs = _combine(pv, [(coeff, rows[t][a + b - t]) for coeff, t in adem[a, b]])
-                report.record(f"P^{a}P^{b}({name}) = Adem sum", rows[b][a], rhs)
+                record(f"P^{a}P^{b}({name}) = Adem sum", rows[b][a], rhs)

@@ -68,6 +68,22 @@ def test_parse_polynomial_compiles_no_pattern_when_called(monkeypatch):
             parse_polynomial(bad, p)
 
 
+def test_class_and_group_compile_no_pattern_when_called(monkeypatch):
+    # --class and --group match patterns compiled on import, with the same
+    # matches and messages as before
+    monkeypatch.setattr(cli, "re", None)
+    assert run_cli("steenrod", "-p", "3", "--group", "Sp:6", "--class", "a2",
+                   "--op", "1") == (0, "a4\n", "")
+    for group, name, message in (
+            ("Sp:6", "x2", "--class expects an odd generator aJ, got 'x2'"),
+            ("Sp:6", "a2 ", "--class expects an odd generator aJ, got 'a2 '"),
+            ("XX:5", "a2", "--group expects FAMILY:SIZE (e.g. Sp:4), got 'XX:5'"),
+            ("GL:3x", "a1", "--group expects FAMILY:SIZE (e.g. Sp:4), got 'GL:3x'")):
+        code, out, err = run_cli("steenrod", "-p", "3", "--group", group, "--class", name,
+                                 "--op", "1")
+        assert (code, out) == (2, "") and message in err, (group, name)
+
+
 def test_parse_polynomial_scalars_and_cancellation():
     p = Prime(2)
     assert parse_polynomial("2", p).is_zero()

@@ -7,7 +7,8 @@ p = 7, before seeds came from a generating function; for the Adem
 identities at the bounds the benchmark runs, before the harness composed
 on exponent dicts; for the verdict grid, the `--class` runs and the error
 paths, before `SteenrodContext` was deleted; for the Tor grid and the
-diagonal seeds P^J(c_J), before odd classes entered linearly).  A
+diagonal seeds P^J(c_J), before odd classes entered linearly; for the
+slot widths, before the image tables packed each monomial into one int).  A
 refactor that changes a rendered term, an ordering or a JSON payload
 fails here; a deliberate output change must re-record the digest and say
 why.
@@ -131,6 +132,27 @@ def _diagonal_grid():
                    for p in (2, 3, 5, 7, 11, 13) for j in range(1, 9)))
 
 
+# top weights w + i(p-1) on either side of each slot width of the packed
+# monomials in the image tables: 1, 2, 4 and 8 bytes, and wider
+SLOT_TOPS = (255, 256, 65535, 65536, 2**32 - 1, 2**32, 2**32 + 1,
+             2**64 - 1, 2**64, 2**64 + 1)
+
+
+def _slot_grid(p):
+    """P^2 of a sum of three monomials of weight top - 2(p-1), in which c1
+    alone carries the weight, so an exponent of the image reaches the top."""
+    runs = []
+    for top in SLOT_TOPS:
+        n = top - 2 - 2 * (p - 1)
+        poly = f"c1^{n}*c2 + c1^{n + 2} + c1^{n - 1}*c3"
+        runs.extend(("steenrod", "-p", str(p), "--poly", poly, "--op", "2", *fmt)
+                    for fmt in FORMATS)
+    if p == 2:
+        runs.extend(("steenrod", "-p", "2", "--poly", f"c1^{2**64 + 1}*c2", "--op", "3",
+                     *fmt) for fmt in FORMATS)
+    return _runs(*runs)
+
+
 def _steenrod(p, poly, op):
     return _cli("steenrod", "-p", str(p), "--poly", poly, "--op", str(op), "--json")
 
@@ -190,6 +212,8 @@ CASES = {
     "tor grid": _tor_grid,
     "steenrod diagonal grid": _diagonal_grid,
 }
+for _p in (2, 3, 5):
+    CASES[f"steenrod slot widths p={_p}"] = lambda p=_p: _slot_grid(p)
 for _p in (2, 3, 5, 7):
     CASES[f"verdict grid gl p={_p}"] = lambda p=_p: _gl_grid(p)
     for _shape in ("sp", "so"):
@@ -232,6 +256,12 @@ DIGESTS = {
         '58708f0ad1b260c5b7683aabca8b2c5a16100866c4802de0611a82cf8a1df0cf',
     'scan q=3 p=2':
         '5dbd9f3c0d1c8fc3cded96b7f9a88775e378c401f07babe9e74de09ae817d203',
+    'steenrod slot widths p=2':
+        '5b4b4279c4399b670c34cab3afe361e395a18ff752a794734165de70057093b5',
+    'steenrod slot widths p=3':
+        'dddb50a708802e70dea9a14d37e56db8174cf5b4544a05b13d019678dca2f529',
+    'steenrod slot widths p=5':
+        'a1d604332aba6406103ab05034f9b162c7959a75c50ef60e419771dd0fa6662e',
     'steenrod diagonal grid':
         '00d8aa56df031a3321bcdec40bdc8e01401b5ec4b3637184c6532d1ffa97fe8e',
     'steenrod p=2 c1 op=5':

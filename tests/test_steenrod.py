@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from itertools import zip_longest
 
 import pytest
 
@@ -12,7 +13,7 @@ from stablyfree import steenrod
 from stablyfree.steenrod import (apply_P_polynomial, apply_P_primitive,
                                  decomposable_quotient, verify_axiom)
 from steenrod_oracle import brute_force_reduced_power, chern_monomials_of_weight
-from test_golden import DIGESTS, _axiom
+from test_golden import DIGESTS, SLOT_TOPS, _axiom
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
 
@@ -202,7 +203,14 @@ def test_oracle_agreement_through_target_weight_12(p):
             x = A.monomial_element({f"c{j}": d for j, d in exps.items()})
             cases.append((exps, x, ops, wanted))
 
+    # the table's monomials are packed for weights up to 12
+    table = steenrod._Table(p, 12)
+
+    def packed(x):
+        return {table.encode(e): c for e, c in x.terms.items()}
+
     def as_map(terms):
+        terms = {table.decode(e): c for e, c in terms.items()}
         return _as_exponent_map(polynomial_algebra(prime, max(map(len, terms), default=1))
                                 .from_terms(terms))
 
@@ -211,12 +219,14 @@ def test_oracle_agreement_through_target_weight_12(p):
             assert _as_exponent_map(apply_P_polynomial(i, x, prime)) == wanted[i], (p, i, exps)
     assert not steenrod._IMAGES
     for descending in (True, False):
+        table = steenrod._Table(p, 12)
         for exps, x, ops, wanted in cases:
             for i in (reversed(ops) if descending else ops):
-                assert as_map(steenrod._apply_raw(p, (i,), x.terms)[i]) == wanted[i]
+                assert as_map(steenrod._apply_raw(table, (i,), packed(x))[i]) == wanted[i]
         steenrod._release_tables()
+    table = steenrod._Table(p, 12)
     for exps, x, ops, wanted in cases:
-        row = steenrod._apply_raw(p, ops, x.terms)
+        row = steenrod._apply_raw(table, ops, packed(x))
         assert [as_map(row[i]) for i in ops] == wanted, (p, exps)
     steenrod._release_tables()
 
@@ -338,6 +348,46 @@ def test_product_of_1500_generators_stays_shallow():
     assert y.terms == want
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_powers_of_c1_across_the_slot_widths(p):
+    # P^i(c1^n) = C(n, i) c1^(n + i(p-1)): the exponent of the image is the
+    # top weight of the call, so n on either side of each slot boundary
+    # packs the image into either of two widths
+    prime = Prime(p)
+    c1 = polynomial_algebra(prime, 1).gen("c1")
+    for top in SLOT_TOPS:
+        for i in range(4):
+            for n in range(top - i * (p - 1) - 2, top - i * (p - 1) + 2):
+                want = {(n + i * (p - 1),): r} if (r := math.comb(n, i) % p) else {}
+                x = c1.algebra.monomial_element({"c1": n})
+                assert apply_P_polynomial(i, x, prime).terms == want, (top, i, n)
+    assert not steenrod._IMAGES
+
+
+def test_packed_monomials_add_slot_by_slot():
+    # each top weight picks the narrowest of 1, 2, 4 and 8 bytes that holds
+    # it, or more; packing drops trailing zero exponents, and the sum of two
+    # packed monomials is their product while no exponent passes the top
+    widths = [steenrod._Table(2, top).bits for top in SLOT_TOPS]
+    assert widths == [8, 16, 16, 32, 32, 64, 64, 64, 72, 72]
+    rng = random.Random(8)
+    for top in (0, 1) + SLOT_TOPS:
+        table = steenrod._Table(3, top)
+        for _ in range(50):
+            n = rng.randint(0, 6)
+            a = tuple(rng.randint(0, top // 2) for _ in range(n))
+            b = tuple(rng.randint(0, top - top // 2) for _ in range(rng.randint(0, 6)))
+            product = tuple(map(sum, zip_longest(a, b, fillvalue=0)))
+            key = table.encode(a) + table.encode(b)
+            while product and not product[-1]:
+                product = product[:-1]
+            assert table.decode(key) == product, (top, a, b)
+            assert table.encode(product) == key
+    assert steenrod._IMAGES
+    steenrod._release_tables()
+    assert not steenrod._IMAGES
+
+
 def test_oracle_stability_in_root_count():
     # the oracle recomputes from scratch per n; the answers must agree
     for n in (4, 5, 7):
@@ -414,6 +464,30 @@ def test_report_values_do_not_alias_module_caches():
     assert composites() == before
     digest = hashlib.sha256(_axiom("adem", 2, 16).encode()).hexdigest()
     assert digest == DIGESTS["axiom adem p=2 bound=16"]
+
+
+def test_axiom_check_sides_are_fresh_tuple_keyed_dicts():
+    # the sides are kept packed and decoded on each read: what a reader does
+    # to one read changes neither a later read, nor the rendering, nor passed
+    for p, axiom in ((P2, "adem"), (P3, "adem"), (P3, "pth_power"), (P5, "cartan")):
+        report = verify_axiom(axiom, p, 10)
+        assert report.checks
+        for c in report.checks:
+            lhs, rhs = c.lhs_terms, c.rhs_terms
+            assert type(lhs) is dict and type(rhs) is dict
+            for e in [*lhs, *rhs]:
+                assert type(e) is tuple and (not e or e[-1]), e
+            assert lhs is not c.lhs_terms and lhs == c.lhs_terms
+            before = (c.lhs_terms, c.rhs_terms, c.lhs, c.rhs, c.passed)
+            assert c.passed == (lhs == rhs)
+            lhs.clear()
+            lhs[(1, 1)] = 1
+            rhs[(2,)] = 1
+            assert (c.lhs_terms, c.rhs_terms, c.lhs, c.rhs, c.passed) == before
+            with pytest.raises(AttributeError):
+                c.lhs_terms = {}
+    # equal reports compare equal, whatever call packed their sides
+    assert verify_axiom("adem", P3, 9) == verify_axiom("adem", P3, 9)
 
 
 def test_group_algebra_is_cached():
