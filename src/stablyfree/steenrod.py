@@ -8,18 +8,19 @@ Cartan formula, recursing on halves of the monomial down to the cached
 images P^a(c_j) of single generators, which `symmetric` reads off one
 generating function.  Each monomial met has one record: its split into
 halves, made once, and its images {i: P^i}, each filled in once and asked
-for only where a Cartan sum reaches it.  The records live for one
-top-level call.  On the primitive odd generators of a group model the
-action is the closed-form binomial rule.
+for only where a Cartan sum reaches it.  Each top-level call builds one
+table of records and drops it when it returns.  On the primitive odd
+generators of a group model the action is the closed-form binomial rule.
 
 Inside one top-level call every monomial of the records, of their images
 and of the sums over them is one packed int: the exponent of c_k sits in
-slot k-1, little-endian, and every slot has the width of the largest
-weight the call can reach (1, 2, 4 or 8 bytes, or wider).  No exponent
-exceeds the weight of its monomial, so no slot carries into the next, and
-the product of two monomials in a Cartan sum is one int addition.  Terms
-are packed where they enter a call (its argument, the seeds) and unpacked
-where they leave it (its result, the sides of an identity when read).
+slot k-1, little-endian, and every slot holds the largest weight the call
+can reach: 8 bits below weight 256, else that weight's bit length.  No
+exponent exceeds the weight of its monomial, so no slot carries into the
+next, and the product of two monomials in a Cartan sum is one int
+addition.  Terms are packed where they enter a call (its argument, the
+seeds) and unpacked where they leave it (its result, the sides of an
+identity when read).
 
 A verification harness checks the two engines against the defining
 axioms.  For the Adem relations it computes every P^a(P^b(x)) an identity
@@ -29,12 +30,10 @@ is 1, so its sums keep the monomials met an odd number of times.
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left
 from functools import partial
 from itertools import accumulate
 from operator import mul
-from sys import byteorder
 
 from .algebra import Element, Exps, bidegree_of, polynomial_algebra
 from .modp import Prime, binom_mod_p
@@ -68,34 +67,14 @@ def _weight(exps: Exps) -> int:
     return sum(map(mul, exps, range(1, len(exps) + 1)))
 
 
-# the packed form of one monomial, by slot width in bytes: 1-byte slots go
-# through bytes, 2-, 4- and 8-byte slots through an array of that itemsize,
-# wider ones through shifts
+# the packed form of one monomial: 8-bit slots go through bytes, wider ones
+# through shifts
 def _pack_bytes(exps: Exps) -> int:
     return int.from_bytes(bytes(exps), "little")
 
 
 def _unpack_bytes(key: int) -> Exps:
     return tuple(key.to_bytes((key.bit_length() + 7) // 8, "little"))
-
-
-_ARRAY_CODES = {array(code).itemsize: code for code in "HILQ"}
-_SWAP = byteorder == "big"  # an array holds its items in machine byte order
-
-
-def _pack_array(code: str, exps: Exps) -> int:
-    items = array(code, exps)
-    if _SWAP:
-        items.byteswap()
-    return int.from_bytes(items, "little")
-
-
-def _unpack_array(code: str, width: int, key: int) -> Exps:
-    # the top slot holds the highest set bit, so no trailing slot is zero
-    items = array(code, key.to_bytes(-(-key.bit_length() // (8 * width)) * width, "little"))
-    if _SWAP:
-        items.byteswap()
-    return tuple(items)
 
 
 def _pack_shifts(bits: int, exps: Exps) -> int:
@@ -113,39 +92,30 @@ def _unpack_shifts(bits: int, key: int) -> Exps:
     return tuple(exps)
 
 
-# The image records of the running top-level call: per prime and slot width
-# in bits, {key: [key, weight, halves, images]}, one record per monomial,
-# keyed by the monomial packed as in _Table.  `halves` is None for a single
-# c_j or 1, whose images are the seeds; for any other monomial it is () until
-# the first image that needs the Cartan split, and then the records of the
-# two halves.  `images` is {i: P^i(key)}, packed alike, filled in as asked.
-# apply_P_polynomial and verify_axiom empty the table when they return, so
-# its size is bounded by one call's work.
-_IMAGES: dict[tuple[int, int], dict[int, list]] = {}
-
-
 class _Table:
-    """The image records at prime p of a call that reaches no weight above
-    `top`, with the codec that packs its monomials: each slot is the fewest
-    of 1, 2, 4 or 8 bytes (or more) that hold `top`.  Calls that agree on p
-    and the slot width share one table of records."""
+    """The image records at prime p of one top-level call that reaches no
+    weight above `top`, with the codec that packs its monomials: slots of 8
+    bits through bytes below weight 256, else of top.bit_length() bits
+    through shifts.
+
+    `records` is {key: [key, weight, halves, images]}, one record per
+    monomial met, keyed by the packed monomial.  `halves` is None for a
+    single c_j or 1, whose images are the seeds; for any other monomial it
+    is () until the first image that needs the Cartan split, and then the
+    records of the two halves.  `images` is {i: P^i(key)}, packed alike,
+    filled in as asked.  The call that builds the table owns it, so the
+    records go when it returns and their size is bounded by its work."""
 
     __slots__ = ("p", "bits", "encode", "decode", "records")
 
     def __init__(self, p: int, top: int):
-        width = max(1, (top.bit_length() + 7) // 8)
-        if width == 1:
-            self.encode, self.decode = _pack_bytes, _unpack_bytes
-        elif width <= 8:
-            width = 2 if width == 2 else 4 if width <= 4 else 8
-            code = _ARRAY_CODES[width]
-            self.encode = partial(_pack_array, code)
-            self.decode = partial(_unpack_array, code, width)
+        if top < 256:
+            self.bits, self.encode, self.decode = 8, _pack_bytes, _unpack_bytes
         else:
-            self.encode = partial(_pack_shifts, 8 * width)
-            self.decode = partial(_unpack_shifts, 8 * width)
-        self.p, self.bits = p, 8 * width
-        self.records = _IMAGES.setdefault((p, self.bits), {})
+            self.bits = top.bit_length()
+            self.encode = partial(_pack_shifts, self.bits)
+            self.decode = partial(_unpack_shifts, self.bits)
+        self.p, self.records = p, {}
 
 
 def _record(records: dict[int, list], key: int, weight: int, factors: int) -> list:
@@ -219,8 +189,8 @@ def _apply_raw(table: _Table, ops, terms: dict[int, int]) -> dict[int, dict[int,
     """P^i for each i of the ascending `ops`, on a polynomial in c_1, c_2, ...
     given as {key: residue mod p}, packed as in the table, in one pass over
     its terms: {i: a new {key: residue mod p}}.  Instability drops the terms
-    of weight below i.  The images stay in the table, for later calls to
-    share, until _IMAGES is emptied."""
+    of weight below i.  The images stay in the table's records, for later
+    passes of the same call to share."""
     records, decode = table.records, table.decode
     parts = {i: [] for i in ops}  # i -> the (coeff, P^i(term)) to sum
     for key, coeff in terms.items():
@@ -274,7 +244,7 @@ def apply_P_polynomial(i: int, x: Element, p: Prime) -> Element:
     try:
         return _power_element(i, x, p, _Table(p.value, top))
     finally:
-        _release_tables()
+        release_seed_tables()
 
 
 def _power_element(i: int, x: Element, p: Prime, table: _Table) -> Element:
@@ -287,14 +257,6 @@ def _power_element(i: int, x: Element, p: Prime, table: _Table) -> Element:
     # i(p-1); monomials of weight below i contribute nothing
     size = max([len(e) + i * (pv - 1) for e in terms if i <= _weight(e)] + [1])
     return polynomial_algebra(p, size).from_terms({decode(e): c for e, c in result.items()})
-
-
-def _release_tables():
-    """Drop the images and the seeds' shared tables, keeping the cached
-    seeds: called when a top-level computation ends, so that no table
-    outlives it."""
-    _IMAGES.clear()
-    release_seed_tables()
 
 
 def decomposable_quotient(x: Element) -> Element:
@@ -462,7 +424,7 @@ def verify_axiom(axiom: str, p: Prime, degree_bound: int,
         _check_axiom(report, p, _test_classes(p, degree_bound, n_generators),
                      _Table(p.value, degree_bound))
     finally:
-        _release_tables()
+        release_seed_tables()
     return report
 
 

@@ -377,6 +377,24 @@ def test_subprocess_entry_point():
     assert proc.stdout == "a4\n"
 
 
+def test_entry_point_ends_quietly_when_stdout_closes():
+    # 447 kB of output, more than a pipe holds, so the child is still
+    # writing when the reader leaves; its status must not read as one of
+    # obstruct's verdicts 0, 1, 2
+    poly = "*".join(f"c{k}" for k in range(1, 15))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "stablyfree", "steenrod", "-p", "2", "--poly", poly,
+         "--op", "8"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.stdout.read(20)
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=60) not in (0, 1, 2)
+    assert stderr == b""
+
+
 def test_import_loads_no_heavy_stdlib_modules():
     # every CLI call is a fresh process, so its import is paid on each one;
     # -S keeps site-packages from loading any of these first

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 import random
@@ -9,13 +10,20 @@ from stablyfree.algebra import (AlgebraPresentation, Bidegree, bidegree_of,
                                 even_gen, polynomial_algebra)
 from stablyfree.modp import Prime, binom_mod_p
 from stablyfree.models import GroupModel, TorsionPrimeError
-from stablyfree import steenrod
+from stablyfree import steenrod, symmetric
 from stablyfree.steenrod import (apply_P_polynomial, apply_P_primitive,
                                  decomposable_quotient, verify_axiom)
 from steenrod_oracle import brute_force_reduced_power, chern_monomials_of_weight
 from test_golden import DIGESTS, SLOT_TOPS, _axiom
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
+
+
+def _assert_no_table_left():
+    # each top-level call owns its image table, and drops it and the seeds'
+    # shared tables when it returns
+    assert not any(isinstance(o, steenrod._Table) for o in gc.get_objects())
+    assert symmetric._augmented_tables.cache_info().currsize == 0
 
 
 # -- primitive action --------------------------------------------------------
@@ -203,13 +211,10 @@ def test_oracle_agreement_through_target_weight_12(p):
             x = A.monomial_element({f"c{j}": d for j, d in exps.items()})
             cases.append((exps, x, ops, wanted))
 
-    # the table's monomials are packed for weights up to 12
-    table = steenrod._Table(p, 12)
-
-    def packed(x):
+    def packed(table, x):
         return {table.encode(e): c for e, c in x.terms.items()}
 
-    def as_map(terms):
+    def as_map(table, terms):
         terms = {table.decode(e): c for e, c in terms.items()}
         return _as_exponent_map(polynomial_algebra(prime, max(map(len, terms), default=1))
                                 .from_terms(terms))
@@ -217,18 +222,21 @@ def test_oracle_agreement_through_target_weight_12(p):
     for exps, x, ops, wanted in cases:
         for i in ops:
             assert _as_exponent_map(apply_P_polynomial(i, x, prime)) == wanted[i], (p, i, exps)
-    assert not steenrod._IMAGES
+    _assert_no_table_left()
+    # a fresh table per order, its monomials packed for weights up to 12
     for descending in (True, False):
         table = steenrod._Table(p, 12)
         for exps, x, ops, wanted in cases:
             for i in (reversed(ops) if descending else ops):
-                assert as_map(steenrod._apply_raw(table, (i,), packed(x))[i]) == wanted[i]
-        steenrod._release_tables()
+                row = steenrod._apply_raw(table, (i,), packed(table, x))
+                assert as_map(table, row[i]) == wanted[i]
     table = steenrod._Table(p, 12)
     for exps, x, ops, wanted in cases:
-        row = steenrod._apply_raw(table, ops, packed(x))
-        assert [as_map(row[i]) for i in ops] == wanted, (p, exps)
-    steenrod._release_tables()
+        row = steenrod._apply_raw(table, ops, packed(table, x))
+        assert [as_map(table, row[i]) for i in ops] == wanted, (p, exps)
+    del table
+    symmetric.release_seed_tables()
+    _assert_no_table_left()
 
 
 def test_a_single_power_asks_for_the_seeds_it_needs(monkeypatch):
@@ -255,15 +263,15 @@ def test_a_single_power_asks_for_the_seeds_it_needs(monkeypatch):
 def test_no_image_table_outlives_its_call():
     x = polynomial_algebra(P3, 4).monomial_element({"c1": 2, "c4": 1})
     assert not apply_P_polynomial(2, x, P3).is_zero()
-    assert not steenrod._IMAGES
+    _assert_no_table_left()
     for axiom in steenrod.AXIOMS:
         assert verify_axiom(axiom, P3, 10).checks
-        assert not steenrod._IMAGES
+        _assert_no_table_left()
     # and when a seed is refused midway
     big = polynomial_algebra(Prime(11), 7).monomial_element({"c1": 1, "c7": 1})
     with pytest.raises(ValueError, match="more than the cap"):
         apply_P_polynomial(6, big, Prime(11))
-    assert not steenrod._IMAGES
+    _assert_no_table_left()
 
 
 @pytest.mark.parametrize("p, j", [(23, 1), (11, 2), (7, 3), (5, 4), (41, 1), (2, 400)])
@@ -361,15 +369,15 @@ def test_powers_of_c1_across_the_slot_widths(p):
                 want = {(n + i * (p - 1),): r} if (r := math.comb(n, i) % p) else {}
                 x = c1.algebra.monomial_element({"c1": n})
                 assert apply_P_polynomial(i, x, prime).terms == want, (top, i, n)
-    assert not steenrod._IMAGES
+    _assert_no_table_left()
 
 
 def test_packed_monomials_add_slot_by_slot():
-    # each top weight picks the narrowest of 1, 2, 4 and 8 bytes that holds
-    # it, or more; packing drops trailing zero exponents, and the sum of two
-    # packed monomials is their product while no exponent passes the top
+    # a top weight below 256 packs into 8-bit slots, any other into slots of
+    # its bit length; packing drops trailing zero exponents, and the sum of
+    # two packed monomials is their product while no exponent passes the top
     widths = [steenrod._Table(2, top).bits for top in SLOT_TOPS]
-    assert widths == [8, 16, 16, 32, 32, 64, 64, 64, 72, 72]
+    assert widths == [8, 9, 16, 17, 32, 33, 33, 64, 65, 65]
     rng = random.Random(8)
     for top in (0, 1) + SLOT_TOPS:
         table = steenrod._Table(3, top)
@@ -383,9 +391,20 @@ def test_packed_monomials_add_slot_by_slot():
                 product = product[:-1]
             assert table.decode(key) == product, (top, a, b)
             assert table.encode(product) == key
-    assert steenrod._IMAGES
-    steenrod._release_tables()
-    assert not steenrod._IMAGES
+
+
+def test_bytes_codec_agrees_with_shifts():
+    # the 8-bit fast path packs and unpacks as the general codec does
+    rng = random.Random(9)
+    cases = [()]
+    for _ in range(20000):
+        exps = [rng.randrange(256) for _ in range(rng.randint(1, 8))]
+        exps[-1] = rng.randrange(1, 256)  # no trailing zero
+        cases.append(tuple(exps))
+    for exps in cases:
+        key = steenrod._pack_bytes(exps)
+        assert key == steenrod._pack_shifts(8, exps), exps
+        assert steenrod._unpack_bytes(key) == steenrod._unpack_shifts(8, key) == exps
 
 
 def test_oracle_stability_in_root_count():
@@ -448,8 +467,8 @@ def test_report_values_do_not_alias_module_caches():
     steenrod.reduced_power_on_elementary.cache_clear()
     report = verify_axiom("adem", P2, 16)
     # the rows of P^a(P^b(x)) and the images behind them live for one call
-    # only: the image table is empty when it returns
-    assert not steenrod._IMAGES
+    # only: the image table is gone when it returns
+    _assert_no_table_left()
 
     def composites():
         return [apply_P_polynomial(a, apply_P_polynomial(b, x, P2), P2).render()
