@@ -6,21 +6,21 @@ polynomial in weight-one roots, a root t maps to t + t^p, and the total
 operation is multiplicative.  So P^i of a monomial follows from the
 Cartan formula, recursing on halves of the monomial down to the cached
 images P^a(c_j) of single generators, which `symmetric` reads off one
-generating function.  Each monomial met has one record: its split into
-halves, made once, and its images {i: P^i}, each filled in once and asked
-for only where a Cartan sum reaches it.  Each top-level call builds one
-table of records and drops it when it returns.  On the primitive odd
-generators of a group model the action is the closed-form binomial rule.
+generating function.  Each monomial met has one record, made whole the
+first time: its split into halves, cut from its packed form, and its
+images {i: P^i}, each filled in once and asked for only where a Cartan
+sum reaches it.  Each top-level call builds one table of records and drops
+it when it returns.  On the primitive odd generators of a group model the
+action is the closed-form binomial rule.
 
 Inside one top-level call every monomial of the records, of their images
 and of the sums over them is one packed int: the exponent of c_k sits in
 slot k-1, little-endian, and every slot holds the largest weight the call
-can reach: 8 bits below weight 256, else that weight's bit length.  No
-exponent exceeds the weight of its monomial, so no slot carries into the
-next, and the product of two monomials in a Cartan sum is one int
-addition.  Terms are packed where they enter a call (its argument, the
-seeds) and unpacked where they leave it (its result, the sides of an
-identity when read).
+can reach, in as many whole bytes as it needs.  No exponent exceeds the
+weight of its monomial, so no slot carries into the next, and the product
+of two monomials in a Cartan sum is one int addition.  Terms are packed
+where they enter a call (its argument, the seeds) and unpacked where they
+leave it (its result, the sides of an identity when read).
 
 A verification harness checks the two engines against the defining
 axioms.  For the Adem relations it computes every P^a(P^b(x)) an identity
@@ -67,61 +67,67 @@ def _weight(exps: Exps) -> int:
     return sum(map(mul, exps, range(1, len(exps) + 1)))
 
 
-# the packed form of one monomial: 8-bit slots go through bytes, wider ones
-# through shifts
-def _pack_bytes(exps: Exps) -> int:
-    return int.from_bytes(bytes(exps), "little")
+# the packed form of one monomial: slots of `width` whole bytes
+def _pack(width: int, exps: Exps) -> int:
+    if width == 1:
+        return int.from_bytes(bytes(exps), "little")
+    bits = 8 * width
+    return sum(e << bits * k for k, e in enumerate(exps) if e)
 
 
-def _unpack_bytes(key: int) -> Exps:
-    return tuple(key.to_bytes((key.bit_length() + 7) // 8, "little"))
-
-
-def _pack_shifts(bits: int, exps: Exps) -> int:
-    key = 0
-    for e in reversed(exps):
-        key = key << bits | e
-    return key
-
-
-def _unpack_shifts(bits: int, key: int) -> Exps:
-    mask, exps = (1 << bits) - 1, []
-    while key:
-        exps.append(key & mask)
-        key >>= bits
-    return tuple(exps)
+def _unpack(width: int, key: int) -> Exps:
+    data = key.to_bytes(-(-key.bit_length() // (8 * width)) * width, "little")
+    if width == 1:
+        return tuple(data)
+    return tuple(int.from_bytes(data[k:k + width], "little") for k in range(0, len(data), width))
 
 
 class _Table:
     """The image records at prime p of one top-level call that reaches no
-    weight above `top`, with the codec that packs its monomials: slots of 8
-    bits through bytes below weight 256, else of top.bit_length() bits
-    through shifts.
+    weight above `top`, with the codec that packs its monomials: slots of
+    as many whole bytes as the top needs, and at least one.
 
     `records` is {key: [key, weight, halves, images]}, one record per
-    monomial met, keyed by the packed monomial.  `halves` is None for a
-    single c_j or 1, whose images are the seeds; for any other monomial it
-    is () until the first image that needs the Cartan split, and then the
-    records of the two halves.  `images` is {i: P^i(key)}, packed alike,
-    filled in as asked.  The call that builds the table owns it, so the
-    records go when it returns and their size is bounded by its work."""
+    monomial met, keyed by the packed monomial.  `halves` is j for a single
+    c_j, 0 for the monomial 1, and for any other monomial the records of its
+    two halves.  `images` is {i: P^i(key)}, packed alike, filled in as
+    asked.  The call that builds the table owns it, so the records go when
+    it returns and their size is bounded by its work."""
 
     __slots__ = ("p", "bits", "encode", "decode", "records")
 
     def __init__(self, p: int, top: int):
-        if top < 256:
-            self.bits, self.encode, self.decode = 8, _pack_bytes, _unpack_bytes
+        width = max(1, -(-top.bit_length() // 8))
+        self.p, self.bits, self.records = p, 8 * width, {}
+        self.encode, self.decode = partial(_pack, width), partial(_unpack, width)
+
+
+def _record(table: _Table, key: int, exps: Exps) -> list:
+    """The record of the monomial `key`, whose exponents are `exps`
+    (trailing zeros allowed): the table's, else a new one with no images,
+    made whole with the records of its halves.
+
+    The first half u holds the first half of the factors, the other half v
+    the rest.  u's key is cut from `key` by a mask and v's is the rest, and
+    both exponent tuples are cut from `exps`, so a split packs and unpacks
+    nothing.  Halving keeps
+    the recursion about log2(factors) deep, and c_j^e splits into equal
+    halves that share one record."""
+    records = table.records
+    rec = records.get(key)
+    if rec is None:
+        factors = list(accumulate(exps)) or [0]  # factors[k]: how many are c_1 .. c_{k+1}
+        n = factors[-1] // 2  # u is the first n factors
+        if not n:  # c_j is the first factor, or 1 has none
+            halves = bisect_left(factors, 1) + 1 if factors[-1] else 0
         else:
-            self.bits = top.bit_length()
-            self.encode = partial(_pack_shifts, self.bits)
-            self.decode = partial(_unpack_shifts, self.bits)
-        self.p, self.records = p, {}
-
-
-def _record(records: dict[int, list], key: int, weight: int, factors: int) -> list:
-    """A new record for the packed monomial `key`, of the given weight and
-    number of factors, with no images yet."""
-    rec = records[key] = [key, weight, None if factors <= 1 else (), {}]
+            k = bisect_left(factors, n)  # the n-th factor is c_{k+1}
+            e = n - (factors[k - 1] if k else 0)
+            shift = table.bits * k
+            u = (key & ((1 << shift) - 1)) + (e << shift)
+            halves = (_record(table, u, exps[:k] + (e,)),
+                      _record(table, key - u, (0,) * k + (exps[k] - e,) + exps[k + 1:]))
+        rec = records[key] = [key, _weight(exps), halves, {}]
     return rec
 
 
@@ -129,34 +135,20 @@ def _image(table: _Table, rec: list, i: int) -> dict[int, int]:
     """P^i of the record's monomial, as {key: residue mod p}, stored in the
     record.
 
-    A single c_j (or 1) reads the seed from the symmetric layer.  Any other
-    monomial is split into its first half of factors u and the rest v, and
-    the Cartan formula P^i(uv) = sum_a P^a(u) P^{i-a}(v) runs over the a
-    that instability leaves nonzero, asking each half only for the indices
-    that sum reaches.  Halving keeps the recursion about log2(degree) deep,
-    and c_j^e splits into equal halves that share one record.
+    A single c_j (or 1) reads the seed from the symmetric layer.  On any
+    other monomial uv, split into the halves of its record, the Cartan
+    formula P^i(uv) = sum_a P^a(u) P^{i-a}(v) runs over the a that
+    instability leaves nonzero, asking each half only for the indices that
+    sum reaches.
     """
-    key, weight, halves, images = rec
+    key, _, halves, images = rec
     p = table.p
-    if halves is None:
-        # the key of c_j fills j slots
-        seed = reduced_power_on_elementary(p, i, -(-key.bit_length() // table.bits))
+    if isinstance(halves, int):
         encode = table.encode
-        out = {encode(e): c for e, c in seed.items()}
+        out = {encode(e): c for e, c in reduced_power_on_elementary(p, i, halves).items()}
     elif not i:
         out = {key: 1}
     else:
-        if not halves:
-            exps = table.decode(key)
-            factors = list(accumulate(exps))  # factors[k]: how many are c_1 .. c_{k+1}
-            n = factors[-1] // 2  # u is the first n factors
-            k = bisect_left(factors, n)  # the n-th factor is c_{k+1}
-            u_exps = exps[:k] + (n - (factors[k - 1] if k else 0),)
-            u, w_u = table.encode(u_exps), _weight(u_exps)
-            records = table.records
-            halves = rec[2] = [records.get(u) or _record(records, u, w_u, n),
-                               records.get(key - u)
-                               or _record(records, key - u, weight - w_u, factors[-1] - n)]
         (u, w_u, _, u_images), (v, w_v, _, v_images) = left_rec, right_rec = halves
         out = {}
         for a in range(max(0, i - w_v), min(i, w_u) + 1):
@@ -194,10 +186,7 @@ def _apply_raw(table: _Table, ops, terms: dict[int, int]) -> dict[int, dict[int,
     records, decode = table.records, table.decode
     parts = {i: [] for i in ops}  # i -> the (coeff, P^i(term)) to sum
     for key, coeff in terms.items():
-        rec = records.get(key)
-        if rec is None:
-            exps = decode(key)
-            rec = _record(records, key, _weight(exps), sum(exps))
+        rec = records.get(key) or _record(table, key, decode(key))
         w, images = rec[1], rec[3]
         for i in ops:
             if i > w:
@@ -224,6 +213,11 @@ def _combine(p: int, parts) -> dict:
     return {e: r for e, c in out.items() if (r := c % p)}
 
 
+# a term of this many factors or more is refused: its record splits in
+# halves, about log2(factors) calls deep, and Python's stack is not deeper
+MAX_FACTORS = 2 ** 512
+
+
 def apply_P_polynomial(i: int, x: Element, p: Prime) -> Element:
     """P^i on an element of a polynomial algebra in c_1, c_2, ...
 
@@ -239,6 +233,9 @@ def apply_P_polynomial(i: int, x: Element, p: Prime) -> Element:
         raise ValueError("element involves odd generators; use the primitive action")
     if x.algebra != polynomial_algebra(p, len(x.algebra.generators)):
         raise ValueError("expected an element of a polynomial algebra in c1, c2, ...")
+    if any(sum(e) >= MAX_FACTORS for e in x.terms):
+        raise ValueError(f"a term has 2^{MAX_FACTORS.bit_length() - 1} or more factors, "
+                         "too many to split")
 
     top = max(map(_weight, x.terms), default=0) + i * (p.value - 1)
     try:

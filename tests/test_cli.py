@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from stablyfree import cli
+from stablyfree import cli, steenrod
 from stablyfree.cli import build_parser, main, parse_polynomial
 from stablyfree.algebra import polynomial_algebra
 from stablyfree.modp import Prime
@@ -377,14 +377,13 @@ def test_subprocess_entry_point():
     assert proc.stdout == "a4\n"
 
 
-def test_entry_point_ends_quietly_when_stdout_closes():
+def _ends_quietly_when_stdout_closes(launcher):
     # 447 kB of output, more than a pipe holds, so the child is still
     # writing when the reader leaves; its status must not read as one of
     # obstruct's verdicts 0, 1, 2
     poly = "*".join(f"c{k}" for k in range(1, 15))
     proc = subprocess.Popen(
-        [sys.executable, "-m", "stablyfree", "steenrod", "-p", "2", "--poly", poly,
-         "--op", "8"],
+        [sys.executable, *launcher, "steenrod", "-p", "2", "--poly", poly, "--op", "8"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"},
     )
@@ -393,6 +392,22 @@ def test_entry_point_ends_quietly_when_stdout_closes():
     stderr = proc.stderr.read()
     assert proc.wait(timeout=60) not in (0, 1, 2)
     assert stderr == b""
+
+
+def test_entry_point_ends_quietly_when_stdout_closes():
+    _ends_quietly_when_stdout_closes(["-m", "stablyfree"])
+
+
+def test_console_script_ends_quietly_when_stdout_closes():
+    # the installed script imports the function that pyproject.toml names
+    # and exits with what it returns
+    lines = (SRC.parent / "pyproject.toml").read_text().splitlines()
+    entry = lines[lines.index("[project.scripts]") + 1]
+    name, target = entry.split(" = ")
+    module, function = target.strip('"').split(":")
+    assert (name, module) == ("stablyfree", "stablyfree.__main__")
+    _ends_quietly_when_stdout_closes(
+        ["-c", f"import sys; from {module} import {function}; sys.exit({function}())"])
 
 
 def test_import_loads_no_heavy_stdlib_modules():
@@ -516,6 +531,26 @@ def test_one_process_runs_every_command_then_a_usage_error():
     assert [code for code, _, _ in results] == [0, 0, 0, 0, 2]
     assert results[-1][2] == ("usage: stablyfree [-h] {steenrod,tor,obstruct,verify} ...\n"
                               "stablyfree: error: obstruct needs --n\n")
+
+
+# -- the factor cap -------------------------------------------------------------
+
+def test_terms_of_too_many_factors_exit_two_before_any_record(monkeypatch):
+    # a record splits in halves, about log2(factors) calls deep: 2^511
+    # factors still answer, 2^512 and more are refused before any record
+    def no_record(*args):
+        raise AssertionError("a record was made")
+
+    n = 2 ** 511
+    assert steenrod.MAX_FACTORS == 2 * n
+    # P^1(c1^m) = m c1^(m+1) at p = 2
+    assert run_cli("steenrod", "-p", "2", "--poly", f"c1^{n}", "--op", "1") == (0, "0\n", "")
+    assert run_cli("steenrod", "-p", "2", "--poly", f"c1^{n + 1}", "--op", "1") == (
+        0, f"c1^{n + 2}\n", "")
+    monkeypatch.setattr(steenrod, "_record", no_record)
+    for poly in (f"c1^{2 * n}", f"c1^{n}*c2^{n}", f"c2 + c1^{2 ** 1100 + 1}"):
+        assert run_cli("steenrod", "-p", "2", "--poly", poly, "--op", "1") == (
+            2, "", "error: a term has 2^512 or more factors, too many to split\n")
 
 
 # -- the Chern index cap ------------------------------------------------------

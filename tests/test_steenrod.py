@@ -338,13 +338,38 @@ def test_cartan_on_a_high_power():
     assert apply_P_polynomial(2, A.monomial_element({"c2": 500}), P3) == want
 
 
-def test_product_of_1500_generators_stays_shallow():
+def test_product_of_1500_generators_stays_shallow(monkeypatch):
     # P^1(c_k) = c1*c_k + (k+1)*c_{k+1} at p = 2, so by the Cartan formula
     # P^1(c1*...*c1500) is 1500*c1*(c1*...*c1500), which is 0, plus one
     # term per even k: c_k is replaced by c_{k+1}
+    decoded, tables = [], []
+
+    def unpack(width, key):
+        decoded.append(key)
+        return real_unpack(width, key)
+
+    class Table(steenrod._Table):
+        def __init__(self, p, top):
+            super().__init__(p, top)
+            tables.append(self)
+
+    real_unpack = steenrod._unpack
+    monkeypatch.setattr(steenrod, "_unpack", unpack)
+    monkeypatch.setattr(steenrod, "_Table", Table)
     n = 1500
     A = polynomial_algebra(P2, n)
     y = apply_P_polynomial(1, A.monomial_element({f"c{k}": 1 for k in range(1, n + 1)}), P2)
+    # the argument, when its record is made, and the 750 terms of the
+    # result: the Cartan splits cut their halves from the keys, decoding none
+    assert len(decoded) == 1 + 750
+    [table] = tables
+    for key, weight, halves, _ in table.records.values():
+        if not isinstance(halves, int):
+            (u, w_u, *_), (v, w_v, *_) = halves
+            assert (u + v, w_u + w_v) == (key, weight)
+    # the spy's class is in a reference cycle: let go of the table it keeps
+    del table
+    tables.clear()
     want = {}
     for k in range(2, n + 1, 2):
         exps = [1] * n + [0]
@@ -373,11 +398,11 @@ def test_powers_of_c1_across_the_slot_widths(p):
 
 
 def test_packed_monomials_add_slot_by_slot():
-    # a top weight below 256 packs into 8-bit slots, any other into slots of
-    # its bit length; packing drops trailing zero exponents, and the sum of
-    # two packed monomials is their product while no exponent passes the top
+    # slots are as many whole bytes as the top weight needs; packing drops
+    # trailing zero exponents, and the sum of two packed monomials is their
+    # product while no exponent passes the top
     widths = [steenrod._Table(2, top).bits for top in SLOT_TOPS]
-    assert widths == [8, 9, 16, 17, 32, 33, 33, 64, 65, 65]
+    assert widths == [8, 16, 16, 24, 32, 40, 40, 64, 72, 72]
     rng = random.Random(8)
     for top in (0, 1) + SLOT_TOPS:
         table = steenrod._Table(3, top)
@@ -394,7 +419,9 @@ def test_packed_monomials_add_slot_by_slot():
 
 
 def test_bytes_codec_agrees_with_shifts():
-    # the 8-bit fast path packs and unpacks as the general codec does
+    # width 1 packs through bytes and unpacks through tuple, any other width
+    # sums shifts and slices; an exponent below 256 in a slot of w bytes is
+    # that exponent followed by w - 1 zero bytes, so the two lines must agree
     rng = random.Random(9)
     cases = [()]
     for _ in range(20000):
@@ -402,9 +429,13 @@ def test_bytes_codec_agrees_with_shifts():
         exps[-1] = rng.randrange(1, 256)  # no trailing zero
         cases.append(tuple(exps))
     for exps in cases:
-        key = steenrod._pack_bytes(exps)
-        assert key == steenrod._pack_shifts(8, exps), exps
-        assert steenrod._unpack_bytes(key) == steenrod._unpack_shifts(8, key) == exps
+        assert steenrod._unpack(1, steenrod._pack(1, exps)) == exps
+        for width in (2, 3):
+            spread = tuple(b for e in exps for b in (e,) + (0,) * (width - 1))
+            key = steenrod._pack(width, exps)
+            assert key == steenrod._pack(1, spread), (width, exps)
+            assert steenrod._unpack(width, key) == exps, (width, exps)
+            assert steenrod._unpack(1, key) == spread[:len(spread) - width + 1]
 
 
 def test_oracle_stability_in_root_count():
