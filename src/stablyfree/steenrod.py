@@ -4,13 +4,14 @@ Two engines.  On polynomial algebras of Chern classes the action is
 forced by the axioms: each generator is an elementary symmetric
 polynomial in weight-one roots, a root t maps to t + t^p, and the total
 operation is multiplicative.  So P^i of a monomial follows from the
-Cartan formula, recursing on halves of the monomial down to the cached
-images P^a(c_j) of single generators, which `symmetric` reads off one
+Cartan formula, recursing on halves of the monomial down to the seeds
+P^a(c_j) of single generators, which `symmetric` reads off one
 generating function.  Each monomial met has one record, made whole the
 first time: its split into halves, cut from its packed form, and its
 images {i: P^i}, each filled in once and asked for only where a Cartan
-sum reaches it.  Each top-level call builds one table of records and drops
-it when it returns.  On the primitive odd generators of a group model the
+sum reaches it.  Each top-level call builds one table of records and of
+the tables its seeds share, and drops it when it returns, so no two calls
+share anything.  On the primitive odd generators of a group model the
 action is the closed-form binomial rule.
 
 Inside one top-level call every monomial of the records, of their images
@@ -38,7 +39,7 @@ from operator import mul
 from .algebra import Element, Exps, bidegree_of, polynomial_algebra
 from .modp import Prime, binom_mod_p
 from .models import GroupModel
-from .symmetric import reduced_power_on_elementary, release_seed_tables
+from .symmetric import reduced_power_on_elementary
 
 
 def apply_P_primitive(i: int, j: int, model: GroupModel, p: Prime) -> Element:
@@ -48,16 +49,19 @@ def apply_P_primitive(i: int, j: int, model: GroupModel, p: Prime) -> Element:
     generators of the model (out of range, or of the wrong parity for
     Sp/SO) carry no class, so the image is zero there.
     """
-    alg = model.group_algebra(p)  # rejects a torsion prime before the indices
+    model.check_prime(p)  # rejects a torsion prime before the indices
     if i < 0:
         raise ValueError("operation index must be nonnegative")
     indices = model.generator_indices()
     if j not in indices:
         raise ValueError(f"a{j} is not an odd generator of {model.describe()}")
     target = j + i * (p.value - 1)
-    if target not in indices:
-        return alg.zero()
-    coeff = binom_mod_p(j - 1, i, p)
+    coeff = binom_mod_p(j - 1, i, p) if target in indices else 0
+    # the image lies in the algebra of the rank-r subgroup, where a_target
+    # (a_j, when the image is zero) is the last generator: r of them, where
+    # the model may have millions
+    rank = indices.index(target if coeff else j) + 1
+    alg = model._replace(n=rank).group_algebra(p)
     if not coeff:
         return alg.zero()
     return alg.gen(f"a{target}") * coeff
@@ -91,14 +95,16 @@ class _Table:
     monomial met, keyed by the packed monomial.  `halves` is j for a single
     c_j, 0 for the monomial 1, and for any other monomial the records of its
     two halves.  `images` is {i: P^i(key)}, packed alike, filled in as
-    asked.  The call that builds the table owns it, so the records go when
-    it returns and their size is bounded by its work."""
+    asked.  `seeds` holds the tables that the seeds of the call share, as
+    `reduced_power_on_elementary` fills them.  The call that builds the
+    table owns it, so the records and the seeds' tables go when it returns
+    and their size is bounded by its work."""
 
-    __slots__ = ("p", "bits", "encode", "decode", "records")
+    __slots__ = ("p", "bits", "encode", "decode", "records", "seeds")
 
     def __init__(self, p: int, top: int):
         width = max(1, -(-top.bit_length() // 8))
-        self.p, self.bits, self.records = p, 8 * width, {}
+        self.p, self.bits, self.records, self.seeds = p, 8 * width, {}, {}
         self.encode, self.decode = partial(_pack, width), partial(_unpack, width)
 
 
@@ -144,8 +150,8 @@ def _image(table: _Table, rec: list, i: int) -> dict[int, int]:
     key, _, halves, images = rec
     p = table.p
     if isinstance(halves, int):
-        encode = table.encode
-        out = {encode(e): c for e, c in reduced_power_on_elementary(p, i, halves).items()}
+        seed = reduced_power_on_elementary(p, i, halves, tables=table.seeds)
+        out = {table.encode(e): c for e, c in seed.items()}
     elif not i:
         out = {key: 1}
     else:
@@ -238,10 +244,7 @@ def apply_P_polynomial(i: int, x: Element, p: Prime) -> Element:
                          "too many to split")
 
     top = max(map(_weight, x.terms), default=0) + i * (p.value - 1)
-    try:
-        return _power_element(i, x, p, _Table(p.value, top))
-    finally:
-        release_seed_tables()
+    return _power_element(i, x, p, _Table(p.value, top))
 
 
 def _power_element(i: int, x: Element, p: Prime, table: _Table) -> Element:
@@ -415,13 +418,10 @@ def verify_axiom(axiom: str, p: Prime, degree_bound: int,
     if n_generators < 1:
         raise ValueError("need at least one generator in the test pool")
     report = AxiomReport(axiom, p.value, degree_bound)
-    try:
-        # every class of the pool, and every value the harness computes,
-        # has weight at most the bound
-        _check_axiom(report, p, _test_classes(p, degree_bound, n_generators),
-                     _Table(p.value, degree_bound))
-    finally:
-        release_seed_tables()
+    # every class of the pool, and every value the harness computes, has
+    # weight at most the bound
+    _check_axiom(report, p, _test_classes(p, degree_bound, n_generators),
+                 _Table(p.value, degree_bound))
     return report
 
 

@@ -19,9 +19,10 @@ p may divide, so dividing mod p would be wrong.  The diagonal i = j,
 where P^j(c_j) = c_j^p, is returned directly.
 
 Truncated at degree i, an augmented function or power sum depends on
-(p, i) and not on j, so the seeds at one (p, i) fill in and share one
-table of them.  The tables live until release_seed_tables(), which the
-Steenrod layer calls when a computation ends; the seeds stay cached.
+(p, i) and not on j, so the seeds at one (p, i) can fill in and share one
+table of them.  The caller owns the tables, and so decides how long they
+live: the Steenrod layer passes those of its running call, and a seed
+asked for alone gets tables of its own.  Nothing is cached across calls.
 
 Everything is in the stable range: with at least as many roots as the
 total degree, no coefficient depends on the number of roots, so none is
@@ -37,7 +38,6 @@ MAX_SEED_WORK.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb
 
 
@@ -134,28 +134,17 @@ def _partitions(n: int, largest: int, parts: int):
                 yield (first,) + rest
 
 
-@lru_cache(maxsize=None)
-def _augmented_tables(p: int, i: int) -> tuple[dict[tuple[int, ...], list[int]],
-                                               dict[int, list[int]]]:
-    """The augmented monomial functions and the power sums of the roots z at
-    (p, i), as polynomials in sigma, filled in by every seed P^i(c_j) that
-    meets them.  Entries depend on j only through which of them a seed
-    needs, so the seeds at one (p, i) share them.  An entry is stored once
-    complete and never changed; the tables are kept until
-    release_seed_tables()."""
-    return {(): [1]}, {}
-
-
-def release_seed_tables():
-    """Drop the tables the seeds share, keeping the cached seeds: called
-    when a computation ends, so that no table outlives it."""
-    _augmented_tables.cache_clear()
-
-
-@lru_cache(maxsize=None)
-def reduced_power_on_elementary(p: int, i: int, j: int) -> dict[tuple[int, ...], int]:
+def reduced_power_on_elementary(p: int, i: int, j: int, *,
+                                tables: dict | None = None) -> dict[tuple[int, ...], int]:
     """P^i(c_j) as {exps: residue mod p}, where exps[k-1] is the exponent
-    of c_k (no trailing zeros).  Cached; do not mutate the result.
+    of c_k (no trailing zeros), a new dict on each call.
+
+    `tables` maps (p, i) to the augmented monomial functions and the power
+    sums of the roots z there, as polynomials in sigma, which the seeds at
+    one (p, i) fill in and share: their entries depend on j only through
+    which of them a seed needs, and each is stored once complete and never
+    changed.  They change no result; without them the seed fills tables of
+    its own.
 
     Raises ValueError, before any summing, when the sum would run over more
     than MAX_SEED_PARTITIONS partitions or take more than MAX_SEED_WORK
@@ -170,7 +159,8 @@ def reduced_power_on_elementary(p: int, i: int, j: int) -> dict[tuple[int, ...],
     weight = j + i * (p - 1)
     # a polynomial in sigma is its coefficient list, cut after degree i and
     # after its true degree, which is at most the weight over p
-    augmented, power_sums = _augmented_tables(p, i)
+    tables = {} if tables is None else tables
+    augmented, power_sums = tables.setdefault((p, i), ({(): [1]}, {}))
 
     def power_sum(k: int) -> list[int]:
         # Girard-Waring: [sigma^m] P_k(z) = (-1)^(m(p-1)) k/n C(n, m), n = k - (p-1)m
@@ -228,6 +218,6 @@ def reduced_power_on_elementary(p: int, i: int, j: int) -> dict[tuple[int, ...],
             if coeff:
                 out[tuple(exps)] = coeff
     # augmented_monomial refers to itself through its closure cell; breaking
-    # that cycle lets the table go as soon as it is released
+    # that cycle lets tables of the seed's own go as it returns
     del augmented_monomial
     return out

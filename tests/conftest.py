@@ -11,22 +11,15 @@ if str(SRC) not in sys.path:
 @pytest.fixture
 def planted_seed(monkeypatch):
     """Plant one wrong seed, P^0(c2) = 2*c2 at p = 3, so that the axiom
-    harness has identities to fail.  The cached seeds and the seeds'
-    shared tables are emptied before and after, so no value built from the
-    wrong seed outlives it; each call's image table goes with the call."""
-    from stablyfree import steenrod, symmetric
+    harness has identities to fail.  Each call owns its seeds and its image
+    table, so no value built from the wrong seed outlives the fixture."""
+    from stablyfree import steenrod
 
     true_seed = steenrod.reduced_power_on_elementary
 
-    def planted(p, i, j):
-        return {(0, 1): 2} if (p, i, j) == (3, 0, 2) else true_seed(p, i, j)
+    def planted(p, i, j, *, tables=None):
+        if (p, i, j) == (3, 0, 2):
+            return {(0, 1): 2}
+        return true_seed(p, i, j, tables=tables)
 
-    def clear():
-        true_seed.cache_clear()
-        symmetric.release_seed_tables()
-
-    clear()
     monkeypatch.setattr(steenrod, "reduced_power_on_elementary", planted)
-    yield
-    monkeypatch.undo()
-    clear()

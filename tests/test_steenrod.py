@@ -20,10 +20,13 @@ P2, P3, P5 = Prime(2), Prime(3), Prime(5)
 
 
 def _assert_no_table_left():
-    # each top-level call owns its image table, and drops it and the seeds'
-    # shared tables when it returns
+    # each top-level call owns its image table, with the tables its seeds
+    # share, and drops it when it returns; neither layer caches a function
     assert not any(isinstance(o, steenrod._Table) for o in gc.get_objects())
-    assert symmetric._augmented_tables.cache_info().currsize == 0
+    for module in (steenrod, symmetric):
+        assert not [name for name, f in vars(module).items()
+                    if getattr(f, "__module__", None) == module.__name__
+                    and hasattr(f, "cache_info")]
 
 
 # -- primitive action --------------------------------------------------------
@@ -76,7 +79,44 @@ def test_primitive_so_rejects_two():
             apply_P_primitive(i, j, so, P2)
 
 
+@pytest.mark.parametrize("family, n", [("GL", 10 ** 6), ("Sp", 10 ** 6), ("SO", 10 ** 8)])
+def test_primitive_builds_only_the_generators_it_needs(family, n):
+    # the image lies in the algebra of the smallest subgroup that holds
+    # a_target (or a_j, when it is zero), not in one of n generators; the
+    # first 8 generators of the model decide every answer below
+    model, small = GroupModel(family, n), GroupModel(family, 8)
+    indices = small.generator_indices()
+    for p in (P2, P3, P5):
+        if family == "SO" and p == P2:
+            continue
+        for j in indices:
+            for i in range(4):
+                target = j + i * (p.value - 1)
+                got = apply_P_primitive(i, j, model, p)
+                assert len(got.algebra.generators) <= target, (p, i, j)
+                if target <= indices[-1]:
+                    assert got == apply_P_primitive(i, j, small, p), (p, i, j)
+                    assert got.to_json() == apply_P_primitive(i, j, small, p).to_json()
+    assert apply_P_primitive(1, 2, model, P3).render() == "a4"
+
+
 # -- polynomial action -------------------------------------------------------
+
+def test_a_seed_handed_out_is_the_callers_own():
+    # no seed is cached across calls, so clearing one that was handed out
+    # changes neither the next seed nor an operation that reads it
+    want = {(1, 1): 1, (0, 0, 1): 1}  # P^1(c2) = c1*c2 + c3 at p = 2
+    seed = symmetric.reduced_power_on_elementary(2, 1, 2)
+    assert seed == want
+    seed.clear()
+    assert symmetric.reduced_power_on_elementary(2, 1, 2) == want
+    c2 = polynomial_algebra(P2, 2).gen("c2")
+    assert apply_P_polynomial(1, c2, P2).render() == "c1*c2 + c3"
+    # nor does a seed filled from tables shared with others
+    tables, alone = {}, symmetric.reduced_power_on_elementary(3, 1, 3)
+    symmetric.reduced_power_on_elementary(3, 1, 3, tables=tables).clear()
+    assert symmetric.reduced_power_on_elementary(3, 1, 3, tables=tables) == alone != {}
+
 
 def test_polynomial_examples():
     A2 = polynomial_algebra(P2, 3)
@@ -235,7 +275,6 @@ def test_oracle_agreement_through_target_weight_12(p):
         row = steenrod._apply_raw(table, ops, packed(table, x))
         assert [as_map(table, row[i]) for i in ops] == wanted, (p, exps)
     del table
-    symmetric.release_seed_tables()
     _assert_no_table_left()
 
 
@@ -246,9 +285,9 @@ def test_a_single_power_asks_for_the_seeds_it_needs(monkeypatch):
     asked = set()
     seed = steenrod.reduced_power_on_elementary
 
-    def spy(p, i, j):
+    def spy(p, i, j, *, tables=None):
         asked.add((p, i, j))
-        return seed(p, i, j)
+        return seed(p, i, j, tables=tables)
 
     monkeypatch.setattr(steenrod, "reduced_power_on_elementary", spy)
     for p, mono, i, want in ((5, {"c1": 1, "c4": 1}, 4, {(5, 1, 1), (5, 3, 4), (5, 4, 4)}),
@@ -495,7 +534,6 @@ def test_adem_p3_bound_20():
 
 
 def test_report_values_do_not_alias_module_caches():
-    steenrod.reduced_power_on_elementary.cache_clear()
     report = verify_axiom("adem", P2, 16)
     # the rows of P^a(P^b(x)) and the images behind them live for one call
     # only: the image table is gone when it returns

@@ -233,7 +233,6 @@ def test_seeds_over_the_work_cap_raise_before_summing(monkeypatch):
     def no_summing(*args):
         raise AssertionError("the seed started summing")
 
-    reduced_power_on_elementary.cache_clear()
     monkeypatch.setattr(symmetric, "_partitions", no_summing)
     monkeypatch.setattr(symmetric, "MAX_SEED_WORK", 11_247)
     with pytest.raises(ValueError) as exc:
@@ -276,42 +275,26 @@ def test_seeds_at_p2_follow_the_wu_formula():
     assert seeds == 860
 
 
-def _seeds_from_cleared_caches(keys):
-    reduced_power_on_elementary.cache_clear()
-    symmetric.release_seed_tables()
-    return {key: reduced_power_on_elementary(*key) for key in keys}
+def _seeds_sharing_tables(keys):
+    # one set of tables, as the seeds of one Steenrod call share them
+    tables = {}
+    return {key: reduced_power_on_elementary(*key, tables=tables) for key in keys}
 
 
 def test_seeds_do_not_depend_on_the_order_they_fill_the_shared_tables():
     # the seeds at one (p, i) share one table of augmented functions, filled
     # by whichever seed meets an entry first
     keys = [(p, i, j) for p in (3, 5, 7) for j in range(1, 9) for i in range(j + 1)]
-    ascending = _seeds_from_cleared_caches(keys)
+    ascending = _seeds_sharing_tables(keys)
     shuffled = keys[:]
     random.Random(14).shuffle(shuffled)
-    assert _seeds_from_cleared_caches(shuffled) == ascending
+    assert _seeds_sharing_tables(shuffled) == ascending
+    # and not on sharing at all
+    assert {key: reduced_power_on_elementary(*key) for key in keys} == ascending
     oracle = 0
     for (p, i, j), seed in ascending.items():
         if j + i * (p - 1) <= 18:  # where elimination is tractable
             assert seed == symmetric_oracle.reduced_power_on_elementary(p, i, j), (p, i, j)
             oracle += 1
     assert (len(keys), oracle) == (132, 87)
-    symmetric.release_seed_tables()
 
-
-def test_the_steenrod_layer_releases_the_shared_tables():
-    # a seed computed directly leaves its table; apply_P_polynomial and
-    # verify_axiom drop every table when they return, and keep the seeds
-    from stablyfree import steenrod
-    from stablyfree.modp import Prime
-
-    tables = symmetric._augmented_tables.cache_info
-    _seeds_from_cleared_caches([(7, 2, 6), (7, 1, 6)])
-    assert tables().currsize == 2
-    x = steenrod.polynomial_algebra(Prime(7), 7).monomial_element({"c3": 1, "c4": 1})
-    for compute in (lambda: steenrod.apply_P_polynomial(2, x, Prime(7)),
-                    lambda: steenrod.verify_axiom("adem", Prime(3), 10)):
-        seeds = reduced_power_on_elementary.cache_info().currsize
-        compute()
-        assert tables().currsize == 0
-        assert reduced_power_on_elementary.cache_info().currsize > seeds
