@@ -139,16 +139,12 @@ class TorTable(NamedTuple):
     def euler_consistent(self) -> bool:
         """Alternating homology sums must match alternating chain sums in
         every multidegree."""
-        keys = {(q, j) for (_, q, j) in self.entries} | \
-               {(q, j) for (_, q, j) in self.chain_dims}
-        for q, j in keys:
-            hom = sum((-1) ** i * e.dimension
-                      for (i, qq, jj), e in self.entries.items() if (qq, jj) == (q, j))
-            chain = sum((-1) ** i * d
-                        for (i, qq, jj), d in self.chain_dims.items() if (qq, jj) == (q, j))
-            if hom != chain:
-                return False
-        return True
+        sums: dict[tuple[int, int], int] = {}  # (q, j) -> homology minus chains
+        for (i, q, j), e in self.entries.items():
+            sums[q, j] = sums.get((q, j), 0) + (-1) ** i * e.dimension
+        for (i, q, j), d in self.chain_dims.items():
+            sums[q, j] = sums.get((q, j), 0) - (-1) ** i * d
+        return not any(sums.values())
 
     def index_one_classes(self) -> list[tuple[int, str]]:
         """(weight, representative) pairs at homological index one."""
@@ -251,7 +247,7 @@ def homogeneous_space_complex(family: str, n: int, r: int, p: Prime) -> KoszulCo
     return build_koszul(base, module)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _tor_table_cached(family: str, n: int, r: int, p_value: int,
                       degree_bound: int) -> TorTable:
     cx = homogeneous_space_complex(family, n, r, Prime(p_value))

@@ -132,19 +132,8 @@ class ObstructionReport(NamedTuple):
         return "\n".join(lines)
 
     def to_json(self) -> dict:
-        return {
-            "query": {
-                "family": self.query.family,
-                "n": self.query.n,
-                "a": self.query.a,
-                "b": self.query.b,
-                "p": self.query.p.value,
-            },
-            "method": self.method,
-            "verdict": self.verdict,
-            "witnesses": [w._asdict() for w in self.witnesses],
-            "extrapolated": self.extrapolated,
-        }
+        return {**self._asdict(), "query": {**self.query._asdict(), "p": self.query.p.value},
+                "witnesses": [w._asdict() for w in self.witnesses], "verdict": self.verdict}
 
 
 def _is_extrapolated(query: SectionQuery) -> bool:
@@ -252,15 +241,8 @@ class DivisibilityScan(NamedTuple):
         return "\n".join(lines)
 
     def to_json(self) -> dict:
-        return {
-            "q": self.q,
-            "p": self.p.value,
-            "n_max": self.n_max,
-            "divisor": self.divisor,
-            "combined_modulus": self.combined_modulus,
-            "rows": [{"n": n, "obstructed": o} for n, o in self.rows],
-            "match": self.match,
-        }
+        return {**self._asdict(), "p": self.p.value,
+                "rows": [{"n": n, "obstructed": o} for n, o in self.rows]}
 
 
 def divisibility_scan(q: int, p: Prime, n_max: int) -> DivisibilityScan:

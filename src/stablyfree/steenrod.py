@@ -35,6 +35,7 @@ from bisect import bisect_left
 from functools import partial
 from itertools import accumulate
 from operator import mul
+from typing import NamedTuple
 
 from .algebra import Element, Exps, bidegree_of, polynomial_algebra
 from .modp import Prime, binom_mod_p
@@ -91,7 +92,7 @@ class _Table:
     weight above `top`, with the codec that packs its monomials: slots of
     as many whole bytes as the top needs, and at least one.
 
-    `records` is {key: [key, weight, halves, images]}, one record per
+    `records` is {key: (key, weight, halves, images)}, one record per
     monomial met, keyed by the packed monomial.  `halves` is j for a single
     c_j, 0 for the monomial 1, and for any other monomial the records of its
     two halves.  `images` is {i: P^i(key)}, packed alike, filled in as
@@ -108,7 +109,7 @@ class _Table:
         self.encode, self.decode = partial(_pack, width), partial(_unpack, width)
 
 
-def _record(table: _Table, key: int, exps: Exps) -> list:
+def _record(table: _Table, key: int, exps: Exps) -> tuple:
     """The record of the monomial `key`, whose exponents are `exps`
     (trailing zeros allowed): the table's, else a new one with no images,
     made whole with the records of its halves.
@@ -133,11 +134,11 @@ def _record(table: _Table, key: int, exps: Exps) -> list:
             u = (key & ((1 << shift) - 1)) + (e << shift)
             halves = (_record(table, u, exps[:k] + (e,)),
                       _record(table, key - u, (0,) * k + (exps[k] - e,) + exps[k + 1:]))
-        rec = records[key] = [key, _weight(exps), halves, {}]
+        rec = records[key] = (key, _weight(exps), halves, {})
     return rec
 
 
-def _image(table: _Table, rec: list, i: int) -> dict[int, int]:
+def _image(table: _Table, rec: tuple, i: int) -> dict[int, int]:
     """P^i of the record's monomial, as {key: residue mod p}, stored in the
     record.
 
@@ -193,7 +194,7 @@ def _apply_raw(table: _Table, ops, terms: dict[int, int]) -> dict[int, dict[int,
     parts = {i: [] for i in ops}  # i -> the (coeff, P^i(term)) to sum
     for key, coeff in terms.items():
         rec = records.get(key) or _record(table, key, decode(key))
-        w, images = rec[1], rec[3]
+        _, w, _, images = rec
         for i in ops:
             if i > w:
                 break
@@ -275,30 +276,26 @@ def decomposable_quotient(x: Element) -> Element:
 AXIOMS = ("unit", "pth_power", "instability", "cartan", "adem")
 
 
-def _fields_equal(self, other) -> bool:
-    """Field-by-field equality of two records of one class.  The records
-    are mutable, so they are not hashable."""
-    if other.__class__ is not self.__class__:
-        return NotImplemented
-    return all(getattr(self, k) == getattr(other, k) for k in self._fields)
-
-
 class AxiomCheck:
     """One identity lhs = rhs between polynomials in c_1, c_2, ..., each
     side kept packed as in the image table of its call, with that table's
-    decoder, and decoded or rendered only when read."""
+    decoder, and decoded or rendered only when read.  A passing identity
+    keeps one side, since its two sides are equal."""
 
     __slots__ = ("description", "p", "_lhs", "_rhs", "_decode", "passed")
     _fields = ("description", "p", "lhs_terms", "rhs_terms", "passed")
 
     def __init__(self, description: str, p: int, lhs: dict[int, int],
-                 rhs: dict[int, int], passed: bool, decode):
-        self.description = description
-        self.p = p
-        self._lhs, self._rhs, self._decode = lhs, rhs, decode
-        self.passed = passed
+                 rhs: dict[int, int], decode):
+        self.description, self.p, self.passed = description, p, lhs == rhs
+        self._lhs, self._rhs, self._decode = lhs, lhs if self.passed else rhs, decode
 
-    __eq__, __hash__ = _fields_equal, None
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k) for k in self._fields)
+
+    __hash__ = None  # the fields may be changed, so checks are not hashable
 
     @property
     def lhs_terms(self) -> dict[Exps, int]:
@@ -326,17 +323,14 @@ def _render(p: int, terms: dict[Exps, int]) -> str:
     return polynomial_algebra(Prime(p), size).from_terms(terms).render()
 
 
-class AxiomReport:
-    __slots__ = _fields = ("axiom", "p", "degree_bound", "checks")
+class AxiomReport(NamedTuple):
+    """The identities of one axiom checked at prime p within the weight
+    bound, in the order they were checked."""
 
-    def __init__(self, axiom: str, p: int, degree_bound: int,
-                 checks: list[AxiomCheck] | None = None):
-        self.axiom = axiom
-        self.p = p
-        self.degree_bound = degree_bound
-        self.checks = [] if checks is None else checks
-
-    __eq__, __hash__ = _fields_equal, None
+    axiom: str
+    p: int
+    degree_bound: int
+    checks: tuple[AxiomCheck, ...]
 
     @property
     def passed(self) -> bool:
@@ -344,11 +338,6 @@ class AxiomReport:
 
     def failures(self) -> list[AxiomCheck]:
         return [c for c in self.checks if not c.passed]
-
-    def record(self, description: str, lhs: dict[int, int], rhs: dict[int, int],
-               decode):
-        """Add the identity lhs = rhs, both sides packed for `decode`."""
-        self.checks.append(AxiomCheck(description, self.p, lhs, rhs, lhs == rhs, decode))
 
     def summary(self) -> str:
         status = "ok" if self.passed else "FAILED"
@@ -417,20 +406,19 @@ def verify_axiom(axiom: str, p: Prime, degree_bound: int,
         raise ValueError("degree bound must be nonnegative")
     if n_generators < 1:
         raise ValueError("need at least one generator in the test pool")
-    report = AxiomReport(axiom, p.value, degree_bound)
+    checks: list[AxiomCheck] = []
     # every class of the pool, and every value the harness computes, has
     # weight at most the bound
-    _check_axiom(report, p, _test_classes(p, degree_bound, n_generators),
-                 _Table(p.value, degree_bound))
-    return report
+    _check_axiom(checks, axiom, p, degree_bound,
+                 _test_classes(p, degree_bound, n_generators), _Table(p.value, degree_bound))
+    return AxiomReport(axiom, p.value, degree_bound, tuple(checks))
 
 
-def _check_axiom(report: AxiomReport, p: Prime, pool: list[tuple[str, Element]],
-                 table: _Table):
-    """Record in `report` every identity of its axiom on the pool, computed
+def _check_axiom(checks: list[AxiomCheck], axiom: str, p: Prime, degree_bound: int,
+                 pool: list[tuple[str, Element]], table: _Table):
+    """Append to `checks` every identity of the axiom on the pool, computed
     through the table."""
-    axiom, degree_bound, pv = report.axiom, report.degree_bound, p.value
-    encode, decode = table.encode, table.decode
+    pv, encode, decode = p.value, table.encode, table.decode
 
     def packed(x: Element) -> dict[int, int]:
         return {encode(e): c for e, c in x.terms.items()}
@@ -439,7 +427,7 @@ def _check_axiom(report: AxiomReport, p: Prime, pool: list[tuple[str, Element]],
         return _apply_raw(table, (i,), terms)[i]
 
     def record(description: str, lhs: dict[int, int], rhs: dict[int, int]):
-        report.record(description, lhs, rhs, decode)
+        checks.append(AxiomCheck(description, pv, lhs, rhs, decode))
 
     if axiom == "unit":
         for name, x in pool:

@@ -2,6 +2,7 @@ from itertools import chain, combinations
 
 import pytest
 
+from stablyfree import koszul
 from stablyfree.algebra import AlgebraPresentation, Bidegree, even_gen, odd_gen
 from stablyfree.koszul import (build_koszul, homogeneous_space_odd_basis,
                                homogeneous_space_tor, koszul_homology)
@@ -157,3 +158,48 @@ def test_cached_tables_are_read_only():
     assert again is table and dict(again.entries) == before
     assert [g.name for g in homogeneous_space_odd_basis("GL", 4, 1, P3)] == \
         ["a2", "a3", "a4"]
+
+
+def test_euler_check_sees_a_changed_chain_dimension():
+    table = homogeneous_space_tor("GL", 4, 1, P3)
+    assert table.euler_consistent()
+    for key, dim in table.chain_dims.items():
+        changed = table._replace(chain_dims={**table.chain_dims, key: dim + 1})
+        assert not changed.euler_consistent(), key
+
+
+def test_tor_table_cache_is_bounded():
+    assert koszul._tor_table_cached.cache_info().maxsize == 64
+
+
+def _kunneth_entries(indices, r, bound):
+    """Tor of F_p over F_p[c_k : k in indices] modulo the c_k above rank r,
+    by Kunneth: a surviving c_k contributes F_p, a killed one F_p + F_p dc_k,
+    so there is one class per set of killed dc_k, of homological index its
+    size and weight its sum, named by the wedge of its dc_k ("1" when empty)."""
+    bases = {}
+    killed = indices[r:]
+    for m in range(len(killed) + 1):
+        for subset in combinations(killed, m):
+            w = sum(subset)
+            if 2 * w <= bound:
+                name = "^".join(f"dc{k}" for k in subset) or "1"
+                bases.setdefault((m, 2 * w, w), []).append(name)
+    return {key: (len(names), tuple(names)) for key, names in bases.items()}
+
+
+@pytest.mark.parametrize("family,p", [("GL", 2), ("GL", 3), ("GL", 5),
+                                      ("Sp", 2), ("Sp", 3), ("Sp", 5),
+                                      ("SO", 3), ("SO", 5)])
+def test_tor_tables_match_the_kunneth_closed_form(family, p):
+    p = Prime(p)
+    for n in range(8):
+        indices = list(range(1, n + 1)) if family == "GL" else list(range(2, 2 * n + 1, 2))
+        default = 2 * max(indices, default=0)
+        for r in range(n + 1):
+            for bound in (None, 3 * n + 5):
+                table = homogeneous_space_tor(family, n, r, p, degree_bound=bound)
+                want = default if bound is None else bound
+                assert table.degree_bound == want
+                assert dict(table.entries) == _kunneth_entries(indices, r, want), \
+                    (family, n, r, p, bound)

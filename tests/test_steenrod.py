@@ -578,6 +578,28 @@ def test_axiom_check_sides_are_fresh_tuple_keyed_dicts():
     assert verify_axiom("adem", P3, 9) == verify_axiom("adem", P3, 9)
 
 
+def test_axiom_report_is_an_immutable_tuple():
+    report = verify_axiom("adem", P3, 9)
+    assert isinstance(report, tuple) and type(report.checks) is tuple
+    assert report == ("adem", 3, 9, report.checks)
+    with pytest.raises(AttributeError):
+        report.p = 5
+    assert not hasattr(steenrod, "_fields_equal")
+    assert not hasattr(steenrod.AxiomReport, "record")
+
+
+def test_a_passing_identity_keeps_one_side():
+    # its two sides are equal, so one packed side serves both reads
+    for p, axiom in ((P2, "adem"), (P3, "cartan"), (P5, "instability")):
+        report = verify_axiom(axiom, p, 10)
+        assert report.passed and report.checks
+        for c in report.checks:
+            lhs, rhs = c.lhs_terms, c.rhs_terms
+            assert rhs == lhs and rhs is not lhs and rhs is not c.rhs_terms
+            assert c.lhs == c.rhs
+            assert c._rhs is c._lhs
+
+
 def test_group_algebra_is_cached():
     alg = GroupModel("GL", 6).group_algebra(P3)
     assert alg is GroupModel("GL", 6).group_algebra(P3)
