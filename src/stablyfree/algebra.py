@@ -89,17 +89,32 @@ def add_exps(a: Exps, b: Exps) -> Exps:
     return tuple(map(add, a, b)) + a[len(b):]
 
 
-class Frozen:
-    """Base of the value classes that carry private caches, which rules out
-    a NamedTuple.  `_fields` names the public fields: they alone are
-    compared, hashed and shown.  Attributes are set once, through
-    `_set`, in `__init__`."""
+class AlgebraPresentation:
+    """Generators, coefficient prime, and a set of killed generators.
 
-    __slots__ = ()
-    _fields: tuple[str, ...] = ()
+    Killing a generator imposes the monomial ideal it generates: any
+    monomial containing it reduces to zero.
 
-    def _set(self, **values):
-        for name, value in values.items():
+    The presentation carries private lookups, which rules out a NamedTuple.
+    `_fields` names the public fields: they alone are compared, hashed and
+    shown.  Every attribute is set once, in `__init__`.
+    """
+
+    __slots__ = ("modulus", "generators", "killed_generators", "_names", "_pos", "_odd")
+    _fields = ("modulus", "generators", "killed_generators")
+
+    def __init__(self, modulus: Prime, generators: tuple[GeneratorSpec, ...],
+                 killed_generators: frozenset[str] = frozenset()):
+        names = tuple(g.name for g in generators)
+        if len(set(names)) != len(names):
+            raise ValueError("duplicate generator names")
+        unknown = killed_generators - set(names)
+        if unknown:
+            raise ValueError(f"killed generators not in presentation: {sorted(unknown)}")
+        values = (modulus, generators, killed_generators, names,
+                  {name: i for i, name in enumerate(names)},
+                  tuple(k for k, g in enumerate(generators) if g.parity == "odd"))
+        for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -109,7 +124,7 @@ class Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
+        return self.modulus, self.generators, self.killed_generators
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -120,35 +135,11 @@ class Frozen:
         return hash(self._key())
 
     def __reduce__(self):  # so copy and pickle rebuild through __init__
-        return type(self), self._key()
+        return AlgebraPresentation, self._key()
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({fields})"
-
-
-class AlgebraPresentation(Frozen):
-    """Generators, coefficient prime, and a set of killed generators.
-
-    Killing a generator imposes the monomial ideal it generates: any
-    monomial containing it reduces to zero.
-    """
-
-    __slots__ = ("modulus", "generators", "killed_generators", "_names", "_pos", "_odd")
-    _fields = ("modulus", "generators", "killed_generators")
-
-    def __init__(self, modulus: Prime, generators: tuple[GeneratorSpec, ...],
-                 killed_generators: frozenset[str] = frozenset()):
-        names = [g.name for g in generators]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate generator names")
-        unknown = killed_generators - set(names)
-        if unknown:
-            raise ValueError(f"killed generators not in presentation: {sorted(unknown)}")
-        self._set(modulus=modulus, generators=generators,
-                  killed_generators=killed_generators, _names=tuple(names),
-                  _pos={name: i for i, name in enumerate(names)},
-                  _odd=tuple(k for k, g in enumerate(generators) if g.parity == "odd"))
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key()))
+        return f"AlgebraPresentation({fields})"
 
     # -- generator lookups ------------------------------------------------
 

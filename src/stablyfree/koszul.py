@@ -17,7 +17,7 @@ from itertools import combinations
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .algebra import (AlgebraPresentation, Exps, Frozen, GeneratorSpec, add_exps,
+from .algebra import (AlgebraPresentation, Exps, GeneratorSpec, add_exps,
                       format_term, iter_monomials, odd_gen)
 from .linalg import Vector, quotient_basis, rank_and_kernel
 from .modp import Prime
@@ -26,68 +26,16 @@ from .models import GroupModel
 ChainBasisElement = tuple[Exps, tuple[int, ...]]  # module monomial, dc indices
 
 
-class KoszulComplex(Frozen):
+class KoszulComplex(NamedTuple):
     """Chain data for Tor^{F_p[base]}(F_p, module).
 
     The base-field factor is collapsed to F_p in bidegree (0, 0): the
     obstruction arguments live entirely in that reduced summand.
     """
 
-    __slots__ = ("modulus", "base", "module", "_units", "_monomials")
-    _fields = ("modulus", "base", "module")
-
-    def __init__(self, modulus: Prime, base: tuple[GeneratorSpec, ...],
-                 module: AlgebraPresentation):
-        killed = module.killed_generators
-        # _units: exponent tuple of each surviving base generator, by weight;
-        # _monomials: sorted module monomials by weight, built once per complex
-        self._set(modulus=modulus, base=base, module=module,
-                  _units={g.bidegree.weight: (0,) * k + (1,)
-                          for k, g in enumerate(base) if g.name not in killed},
-                  _monomials={})
-
-    @property
-    def base_indices(self) -> tuple[int, ...]:
-        return tuple(g.bidegree.weight for g in self.base)
-
-    def module_monomials(self, weight: int) -> list[Exps]:
-        """Module monomials of the given weight, in the module's sort order."""
-        monos = self._monomials.get(weight)
-        if monos is None:
-            monos = self._monomials[weight] = sorted(
-                iter_monomials(self.module, weight), key=self.module.sort_key)
-        return monos
-
-    def chain_basis(self, m: int, weight: int) -> list[ChainBasisElement]:
-        """Basis of the homological-index-m chains of the given weight:
-        module monomials tensor m-fold wedges of dc symbols, ordered by
-        wedge and then by module monomial."""
-        out: list[ChainBasisElement] = []
-        for subset in sorted(combinations(self.base_indices, m)):
-            rest = weight - sum(subset)
-            if rest >= 0:
-                out.extend((mono, subset) for mono in self.module_monomials(rest))
-        return out
-
-    def differential_columns(self, m: int, weight: int,
-                             codomain_index: dict[ChainBasisElement, int],
-                             domain: list[ChainBasisElement]) -> list[Vector]:
-        """Columns of d: C_m -> C_{m-1} in the given weight."""
-        p = self.modulus.value
-        units = self._units
-        cols: list[Vector] = []
-        for mono, subset in domain:
-            col: Vector = {}
-            for s, idx in enumerate(subset):
-                unit = units.get(idx)
-                if unit is None:  # killed: the module term vanishes
-                    continue
-                target = add_exps(mono, unit), subset[:s] + subset[s + 1:]
-                sign = 1 if s % 2 == 0 else -1
-                row = codomain_index[target]
-                col[row] = (col.get(row, 0) + sign) % p
-            cols.append({r: c for r, c in col.items() if c})
-        return cols
+    modulus: Prime
+    base: tuple[GeneratorSpec, ...]
+    module: AlgebraPresentation
 
 
 def build_koszul(base: list[GeneratorSpec], module: AlgebraPresentation) -> KoszulComplex:
@@ -192,17 +140,54 @@ def koszul_homology(cx: KoszulComplex, degree_bound: int) -> TorTable:
     """
     if degree_bound < 0:
         raise ValueError("degree bound must be nonnegative")
-    p = cx.modulus.value
+    p, module = cx.modulus.value, cx.module
+    indices = tuple(g.bidegree.weight for g in cx.base)
+    # the exponent tuple of each surviving base generator, by weight
+    units = {g.bidegree.weight: (0,) * k + (1,)
+             for k, g in enumerate(cx.base) if g.name not in module.killed_generators}
+    monomials: dict[int, list[Exps]] = {}  # weight -> its module monomials, sorted
+
+    def chain_basis(m: int, weight: int) -> list[ChainBasisElement]:
+        """Basis of the homological-index-m chains of the given weight:
+        module monomials tensor m-fold wedges of dc symbols, ordered by
+        wedge and then by module monomial."""
+        out: list[ChainBasisElement] = []
+        for subset in sorted(combinations(indices, m)):
+            rest = weight - sum(subset)
+            if rest >= 0:
+                if rest not in monomials:
+                    monomials[rest] = sorted(iter_monomials(module, rest),
+                                             key=module.sort_key)
+                out.extend((mono, subset) for mono in monomials[rest])
+        return out
+
+    def differential_columns(codomain_index: dict[ChainBasisElement, int],
+                             domain: list[ChainBasisElement]) -> list[Vector]:
+        """Columns of d: C_m -> C_{m-1} on the basis `domain` of C_m."""
+        cols: list[Vector] = []
+        for mono, subset in domain:
+            col: Vector = {}
+            for s, idx in enumerate(subset):
+                unit = units.get(idx)
+                if unit is None:  # killed: the module term vanishes
+                    continue
+                target = add_exps(mono, unit), subset[:s] + subset[s + 1:]
+                sign = 1 if s % 2 == 0 else -1
+                row = codomain_index[target]
+                col[row] = (col.get(row, 0) + sign) % p
+            cols.append({r: c for r, c in col.items() if c})
+        return cols
+
     entries: dict[tuple[int, int, int], TorEntry] = {}
     chain_dims: dict[tuple[int, int, int], int] = {}
-    max_index = len(cx.base)
+    max_index = len(indices)
     for weight in range(degree_bound // 2 + 1):
-        bases = {m: cx.chain_basis(m, weight) for m in range(max_index + 2)}
+        bases = {m: chain_basis(m, weight) for m in range(max_index + 2)}
         indexes = {m: {b: i for i, b in enumerate(basis)}
                    for m, basis in bases.items()}
         cols = {}
         for m in range(1, max_index + 2):
-            cols[m] = cx.differential_columns(m, weight, indexes[m - 1], bases[m])
+            cols[m] = differential_columns(indexes[m - 1], bases[m])
         # d^2 = 0 in this multidegree
         for m in range(2, max_index + 2):
             for col, (mono, subset) in zip(cols[m], bases[m]):
@@ -227,7 +212,7 @@ def koszul_homology(cx: KoszulComplex, degree_bound: int) -> TorTable:
             reps = quotient_basis(kernel, image_vectors, p)
             if not reps:
                 continue
-            names = tuple(_render_chain_vector(v, bases[m], cx.module) for v in reps)
+            names = tuple(_render_chain_vector(v, bases[m], module) for v in reps)
             entries[(m, 2 * weight, weight)] = TorEntry(len(reps), names)
     return TorTable(p, degree_bound, MappingProxyType(entries),
                     MappingProxyType(chain_dims))

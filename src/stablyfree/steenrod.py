@@ -32,7 +32,6 @@ is 1, so its sums keep the monomials met an odd number of times.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import partial
 from itertools import accumulate
 from operator import mul
 from typing import NamedTuple
@@ -89,8 +88,8 @@ def _unpack(width: int, key: int) -> Exps:
 
 class _Table:
     """The image records at prime p of one top-level call that reaches no
-    weight above `top`, with the codec that packs its monomials: slots of
-    as many whole bytes as the top needs, and at least one.
+    weight above `top`, with the `width` of the slots its monomials are
+    packed in: as many whole bytes as the top needs, and at least one.
 
     `records` is {key: (key, weight, halves, images)}, one record per
     monomial met, keyed by the packed monomial.  `halves` is j for a single
@@ -101,12 +100,11 @@ class _Table:
     table owns it, so the records and the seeds' tables go when it returns
     and their size is bounded by its work."""
 
-    __slots__ = ("p", "bits", "encode", "decode", "records", "seeds")
+    __slots__ = ("p", "width", "records", "seeds")
 
     def __init__(self, p: int, top: int):
-        width = max(1, -(-top.bit_length() // 8))
-        self.p, self.bits, self.records, self.seeds = p, 8 * width, {}, {}
-        self.encode, self.decode = partial(_pack, width), partial(_unpack, width)
+        self.p, self.width = p, max(1, -(-top.bit_length() // 8))
+        self.records, self.seeds = {}, {}
 
 
 def _record(table: _Table, key: int, exps: Exps) -> tuple:
@@ -130,7 +128,7 @@ def _record(table: _Table, key: int, exps: Exps) -> tuple:
         else:
             k = bisect_left(factors, n)  # the n-th factor is c_{k+1}
             e = n - (factors[k - 1] if k else 0)
-            shift = table.bits * k
+            shift = 8 * table.width * k
             u = (key & ((1 << shift) - 1)) + (e << shift)
             halves = (_record(table, u, exps[:k] + (e,)),
                       _record(table, key - u, (0,) * k + (exps[k] - e,) + exps[k + 1:]))
@@ -152,7 +150,7 @@ def _image(table: _Table, rec: tuple, i: int) -> dict[int, int]:
     p = table.p
     if isinstance(halves, int):
         seed = reduced_power_on_elementary(p, i, halves, tables=table.seeds)
-        out = {table.encode(e): c for e, c in seed.items()}
+        out = {_pack(table.width, e): c for e, c in seed.items()}
     elif not i:
         out = {key: 1}
     else:
@@ -190,10 +188,10 @@ def _apply_raw(table: _Table, ops, terms: dict[int, int]) -> dict[int, dict[int,
     its terms: {i: a new {key: residue mod p}}.  Instability drops the terms
     of weight below i.  The images stay in the table's records, for later
     passes of the same call to share."""
-    records, decode = table.records, table.decode
+    records, width = table.records, table.width
     parts = {i: [] for i in ops}  # i -> the (coeff, P^i(term)) to sum
     for key, coeff in terms.items():
-        rec = records.get(key) or _record(table, key, decode(key))
+        rec = records.get(key) or _record(table, key, _unpack(width, key))
         _, w, _, images = rec
         for i in ops:
             if i > w:
@@ -250,14 +248,15 @@ def apply_P_polynomial(i: int, x: Element, p: Prime) -> Element:
 
 def _power_element(i: int, x: Element, p: Prime, table: _Table) -> Element:
     """P^i(x) for a checked x, through the table of the running call."""
-    pv, encode, decode = p.value, table.encode, table.decode
+    pv, width = p.value, table.width
     terms = x.terms
-    result = _apply_raw(table, (i,), {encode(e): c for e, c in terms.items()})[i]
+    result = _apply_raw(table, (i,), {_pack(width, e): c for e, c in terms.items()})[i]
     # P^a(c_k) involves c_1 .. c_{k + a(p-1)} only, so by the Cartan formula
     # the image of a monomial needs no index above its largest one plus
     # i(p-1); monomials of weight below i contribute nothing
     size = max([len(e) + i * (pv - 1) for e in terms if i <= _weight(e)] + [1])
-    return polynomial_algebra(p, size).from_terms({decode(e): c for e, c in result.items()})
+    return polynomial_algebra(p, size).from_terms({_unpack(width, e): c
+                                                   for e, c in result.items()})
 
 
 def decomposable_quotient(x: Element) -> Element:
@@ -276,38 +275,31 @@ def decomposable_quotient(x: Element) -> Element:
 AXIOMS = ("unit", "pth_power", "instability", "cartan", "adem")
 
 
-class AxiomCheck:
+class AxiomCheck(NamedTuple):
     """One identity lhs = rhs between polynomials in c_1, c_2, ..., each
-    side kept packed as in the image table of its call, with that table's
-    decoder, and decoded or rendered only when read.  A passing identity
-    keeps one side, since its two sides are equal."""
+    side kept packed in slots of `width` bytes, as in the image table of
+    its call, and decoded or rendered only when read.  A passing identity
+    keeps one side, since its two sides are equal: its `packed_rhs` is its
+    `packed_lhs`."""
 
-    __slots__ = ("description", "p", "_lhs", "_rhs", "_decode", "passed")
-    _fields = ("description", "p", "lhs_terms", "rhs_terms", "passed")
-
-    def __init__(self, description: str, p: int, lhs: dict[int, int],
-                 rhs: dict[int, int], decode):
-        self.description, self.p, self.passed = description, p, lhs == rhs
-        self._lhs, self._rhs, self._decode = lhs, lhs if self.passed else rhs, decode
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(getattr(self, k) == getattr(other, k) for k in self._fields)
-
-    __hash__ = None  # the fields may be changed, so checks are not hashable
+    description: str
+    p: int
+    passed: bool
+    width: int
+    packed_lhs: dict[int, int]
+    packed_rhs: dict[int, int]
 
     @property
     def lhs_terms(self) -> dict[Exps, int]:
         """The left side as {exps: residue mod p}, a new dict on each read."""
-        decode = self._decode
-        return {decode(e): c for e, c in self._lhs.items()}
+        width = self.width
+        return {_unpack(width, e): c for e, c in self.packed_lhs.items()}
 
     @property
     def rhs_terms(self) -> dict[Exps, int]:
         """The right side as {exps: residue mod p}, a new dict on each read."""
-        decode = self._decode
-        return {decode(e): c for e, c in self._rhs.items()}
+        width = self.width
+        return {_unpack(width, e): c for e, c in self.packed_rhs.items()}
 
     @property
     def lhs(self) -> str:
@@ -418,16 +410,17 @@ def _check_axiom(checks: list[AxiomCheck], axiom: str, p: Prime, degree_bound: i
                  pool: list[tuple[str, Element]], table: _Table):
     """Append to `checks` every identity of the axiom on the pool, computed
     through the table."""
-    pv, encode, decode = p.value, table.encode, table.decode
+    pv, width = p.value, table.width
 
     def packed(x: Element) -> dict[int, int]:
-        return {encode(e): c for e, c in x.terms.items()}
+        return {_pack(width, e): c for e, c in x.terms.items()}
 
     def power(i: int, terms: dict[int, int]) -> dict[int, int]:
         return _apply_raw(table, (i,), terms)[i]
 
     def record(description: str, lhs: dict[int, int], rhs: dict[int, int]):
-        checks.append(AxiomCheck(description, pv, lhs, rhs, decode))
+        passed = lhs == rhs
+        checks.append(AxiomCheck(description, pv, passed, width, lhs, lhs if passed else rhs))
 
     if axiom == "unit":
         for name, x in pool:

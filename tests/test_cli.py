@@ -55,6 +55,14 @@ def test_parse_polynomial_rejects_garbage():
         assert str(exc.value) == message, bad
 
 
+def test_parse_polynomial_ignores_trailing_whitespace():
+    p = Prime(3)
+    for text in ["c2 ", "c1*c2 + c3\t", "2*c1^3 \n"]:
+        assert parse_polynomial(text, p) == parse_polynomial(text.rstrip(), p)
+    assert run_cli("steenrod", "-p", "2", "--poly", "c2  ", "--op", "1") \
+        == (0, "c1*c2 + c3\n", "")
+
+
 def test_parse_polynomial_compiles_no_pattern_when_called(monkeypatch):
     # the one token pattern, compiled on import, captures a generator's
     # letters and index itself; no re call is left to compile another
@@ -258,6 +266,24 @@ def test_obstruct_oracle_flag():
     assert code == 0
     payload = json.loads(out)
     assert payload["oracle_agrees"] is True
+
+
+def test_obstruct_oracle_disagreement_exits_two_with_both_reports(monkeypatch):
+    # a cohomological engine that finds no witness disagrees with the
+    # combinatorial verdict: nothing on stdout, both reports on stderr
+    from stablyfree.obstruction import ObstructionReport
+
+    def no_witnesses(query):
+        return ObstructionReport(query, (), "cohomological")
+
+    monkeypatch.setattr(cli, "check_cohomological", no_witnesses)
+    code, out, err = run_cli("obstruct", "gl", "--n", "3", "--a", "0", "--b", "2",
+                             "-p", "2", "--oracle")
+    report = cli.check_gl_quotient(3, 0, 2, Prime(2))
+    assert (code, out) == (2, "")
+    assert err == ("engine disagreement between combinatorial and cohomological checks\n"
+                   + report.render_text() + "\n"
+                   + no_witnesses(report.query).render_text() + "\n")
 
 
 def test_obstruct_invalid_exits_two():

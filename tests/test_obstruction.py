@@ -166,6 +166,23 @@ def test_divisibility_scan_q3_p3():
     assert scan.match
 
 
+def test_divisibility_scan_reports_a_mismatch(monkeypatch):
+    # a verdict off the pattern at one n makes the scan say so
+    from stablyfree import obstruction
+    real = obstruction.check_gl_quotient
+
+    def unobstructed_at_5(n, a, b, p):
+        report = real(n, a, b, p)
+        return report._replace(witnesses=()) if n == 5 else report
+
+    monkeypatch.setattr(obstruction, "check_gl_quotient", unobstructed_at_5)
+    scan = divisibility_scan(2, P2, 8)
+    assert not scan.match
+    assert [n for n, obstructed in scan.rows if not obstructed] == [2, 4, 5, 6, 8]
+    assert scan.render_text().endswith("matches divisibility pattern: no")
+    assert scan.to_json()["match"] is False
+
+
 def test_divisibility_scan_validation():
     with pytest.raises(ValueError):
         divisibility_scan(0, P2, 10)

@@ -13,8 +13,9 @@ import pytest
 from stablyfree import (AlgebraPresentation, Bidegree, DivisibilityScan,
                         GeneratorSpec, GroupModel, ObstructionReport,
                         Prime, SectionQuery, TorTable, Witness, build_koszul,
-                        polynomial_algebra)
+                        polynomial_algebra, verify_axiom)
 from stablyfree.koszul import TorEntry
+from stablyfree.steenrod import AxiomCheck
 
 SCHEMAS = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "output-schemas.json")
@@ -47,6 +48,17 @@ VALUES = {
     "KoszulComplex": _koszul,
 }
 
+# values that hold dicts or mappings, and so are not hashable
+UNHASHABLE = {
+    "TorTable": lambda: TorTable(3, 4),
+    # the false identity P^1(c1) = c2 at p=2, its sides c1^2 and c2 packed
+    # in 1-byte slots: a failing identity keeps both sides
+    "AxiomCheck": lambda: AxiomCheck("P^1(c1) = c2", 2, False, 1, {2: 1}, {256: 1}),
+    "AxiomReport": lambda: verify_axiom("cartan", Prime(3), 6),
+}
+# a TorTable's read-only mappings do not pickle
+PICKLED = VALUES | {name: UNHASHABLE[name] for name in ("AxiomCheck", "AxiomReport")}
+
 
 @pytest.mark.parametrize("name", sorted(VALUES))
 def test_equal_values_are_equal_and_hash_equal(name):
@@ -57,9 +69,9 @@ def test_equal_values_are_equal_and_hash_equal(name):
     assert len({a, b}) == 1
 
 
-@pytest.mark.parametrize("name", sorted(VALUES))
+@pytest.mark.parametrize("name", sorted(PICKLED))
 def test_values_survive_copy_and_pickle(name):
-    value = VALUES[name]()
+    value = PICKLED[name]()
     for again in (copy.copy(value), copy.deepcopy(value),
                   pickle.loads(pickle.dumps(value))):
         assert again == value and type(again) is type(value)
@@ -77,14 +89,32 @@ def test_tor_tables_compare_by_value():
         hash(table())
 
 
-@pytest.mark.parametrize("name", sorted(VALUES) + ["TorTable"])
+@pytest.mark.parametrize("name", sorted(VALUES) + sorted(UNHASHABLE))
 def test_fields_cannot_be_assigned(name):
-    value = TorTable(3, 4) if name == "TorTable" else VALUES[name]()
+    value = (VALUES | UNHASHABLE)[name]()
     field = value._fields[0]
     with pytest.raises(AttributeError):
         setattr(value, field, getattr(value, field))
     with pytest.raises(AttributeError):
         value.extra = 1
+
+
+def test_axiom_checks_compare_by_value():
+    # a check is the tuple of its fields, its sides packed: equal calls give
+    # equal reports, a passing check still keeps one side after a round
+    # trip, and the dicts of its sides make it unhashable
+    report = verify_axiom("cartan", Prime(3), 6)
+    assert report == verify_axiom("cartan", Prime(3), 6)
+    check = report.checks[-1]
+    assert check.passed and check == tuple(check)
+    assert check != check._replace(description="")
+    for again in (copy.deepcopy(check), pickle.loads(pickle.dumps(check))):
+        assert again.packed_rhs is again.packed_lhs
+    failing = UNHASHABLE["AxiomCheck"]()
+    assert (failing.lhs, failing.rhs) == ("c1^2", "c2")
+    for value in (check, failing, report):
+        with pytest.raises(TypeError):
+            hash(value)
 
 
 INVALID = {
@@ -115,6 +145,8 @@ def test_value_types_are_tuples_of_their_fields():
     assert (degree, weight) == (3, 2)
     assert WITNESS._replace(op=2) == Witness(2, 2, 3, 1)
     assert repr(Prime(7)) == "Prime(value=7)" and str(Prime(7)) == "7"
+    cx = _koszul()
+    assert cx == (P2, cx.module.generators, cx.module)
 
 
 def test_witness_dict_follows_the_schema_field_order():
