@@ -1,28 +1,36 @@
-"""Reduced powers of Chern classes, from one generating function.
+"""Reduced powers of Chern classes: Wu's formula at p = 2, one generating
+function at odd p.
 
-A weight-one root t maps to t + t^p under the total operation.  Let
-C(T) = sum_a c_a T^a be the total Chern class, and z_1 .. z_p the roots of
-z^p - z^(p-1) + (-1)^p s t^(1-p), so that e_1(z) = 1, e_p(z) = sigma =
-s t^(1-p) and every other e_k(z) = 0.  Then
+At p = 2 the seed is P^i(c_j) = sum_t C(j-i+t-1, t) c_(i-t) c_(j+t), with
+c_0 = 1: at most i + 1 terms, each one binomial parity.
+
+At any p, a weight-one root t maps to t + t^p under the total operation.
+Let C(T) = sum_a c_a T^a be the total Chern class, and z_1 .. z_p the
+roots of z^p - z^(p-1) + (-1)^p s t^(1-p), so that e_1(z) = 1,
+e_p(z) = sigma = s t^(1-p) and every other e_k(z) = 0.  Then
 
     sum_{i,j} P^i(c_j) s^i t^j = prod_{l=1}^{p} C(t z_l),
 
 so P^i(c_j) is the sum of [sigma^i] m_J(z) * c_J over the partitions J
-of W = j + i(p-1) into at most p parts.  At p = 2 this is the Wu formula.
+of W = j + i(p-1) into at most p parts.  The odd primes read their seeds
+off it; at p = 2 it stays callable, as a check on Wu's formula.
 
 Each m_J(z) is an augmented monomial function of z divided by the
 factorials of J's multiplicities, and the augmented ones are sums of
 products of power sums of z, which Girard-Waring gives in closed form.
 The arithmetic is over Z, on polynomials in sigma truncated at degree i,
 and is reduced mod p only at the end: Girard-Waring divides by n, which
-p may divide, so dividing mod p would be wrong.  The diagonal i = j,
-where P^j(c_j) = c_j^p, is returned directly.
+p may divide, so dividing mod p would be wrong.  Each such polynomial is
+one int, its value at sigma = 2^B, in slots of B bits wide enough for
+every coefficient met (see _slot_width).  The diagonal i = j, where
+P^j(c_j) = c_j^p, is returned directly.
 
 Truncated at degree i, an augmented function or power sum depends on
-(p, i) and not on j, so the seeds at one (p, i) can fill in and share one
-table of them.  The caller owns the tables, and so decides how long they
-live: the Steenrod layer passes those of its running call, and a seed
-asked for alone gets tables of its own.  Nothing is cached across calls.
+(p, i) and the slot width and not on j, so the seeds at one (p, i) can
+fill in and share one table of them.  The caller owns the tables, and so
+decides how long they live: the Steenrod layer passes those of its running
+call, and a seed asked for alone gets tables of its own.  Nothing is
+cached across calls.
 
 Everything is in the stable range: with at least as many roots as the
 total degree, no coefficient depends on the number of roots, so none is
@@ -33,12 +41,13 @@ it is bounded below in closed form and then counted, in O(i p^2) steps,
 and refused above MAX_SEED_PARTITIONS.  Each partition also multiplies
 polynomials in sigma of up to min(i, W/p) + 1 coefficients, so a seed is
 refused, too, when its count times the square of that exceeds
-MAX_SEED_WORK.
+MAX_SEED_WORK.  Both caps and their messages are kept as published, at
+p = 2 as well, where Wu's formula would need neither.
 """
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, factorial
 
 
 # the most partitions a seed may sum over: P^3(c6) at p = 7 sums over 703,
@@ -50,8 +59,9 @@ MAX_SEED_PARTITIONS = 100_000
 _UNCOUNTED_PART, _UNCOUNTED_LEAST = 46, 105_558
 # the most steps a seed may take, counted as its partitions times the square
 # of its polynomials' length min(i, W/p) + 1: P^3(c6) at p = 7 takes
-# 703 * 4^2; P^400(c401) at p = 2, 401 * 401^2, takes about 3 s; and
-# P^1000(c1001), 1001 * 1001^2, took 133 s
+# 703 * 4^2, and P^1000(c1001) at p = 2, 1001 * 1001^2, took 133 s summing
+# lists.  Packed polynomials and Wu's formula at p = 2 took the cost off
+# this count; the cap and its message are kept as published
 MAX_SEED_WORK = 10 ** 8
 
 
@@ -134,77 +144,103 @@ def _partitions(n: int, largest: int, parts: int):
                 yield (first,) + rest
 
 
-def reduced_power_on_elementary(p: int, i: int, j: int, *,
-                                tables: dict | None = None) -> dict[tuple[int, ...], int]:
-    """P^i(c_j) as {exps: residue mod p}, where exps[k-1] is the exponent
-    of c_k (no trailing zeros), a new dict on each call.
+def _slot_width(p: int, i: int, weight: int) -> int:
+    """Bits per coefficient of the polynomials in sigma of a seed at (p, i)
+    of weight W: B = bits(p * p! * min(2^W, ceil(6W/i)^i)) + 2, or p * p!
+    for i = 0, rounded up to whole 64-bit words.
 
-    `tables` maps (p, i) to the augmented monomial functions and the power
-    sums of the roots z there, as polynomials in sigma, which the seeds at
-    one (p, i) fill in and share: their entries depend on j only through
-    which of them a seed needs, and each is stored once complete and never
-    changed.  They change no result; without them the seed fills tables of
-    its own.
+    On |sigma| = r every root z has |z| < 1 + 2r, and |z| < 2 at r = 1, so
+    by Cauchy |[sigma^m] M_J| <= p! (1 + 2r)^|J| / r^m for an augmented
+    function M_J of the roots: r = 1 gives p! 2^W and r = i/(2W) gives
+    p! (2eW/i)^i, below p! ceil(6W/i)^i.  The factor p covers a product P_k M_J before the
+    merged functions are subtracted from it, and the two bits keep each
+    coefficient below a quarter of its slot.  Rounding lets the seeds at
+    one (p, i) of nearby weights share their tables."""
+    bound = p * factorial(p)
+    if i:
+        bound *= min(2 ** weight, (-(-6 * weight // i)) ** i)
+    return -(-(bound.bit_length() + 2) // 64) * 64
 
-    Raises ValueError, before any summing, when the sum would run over more
-    than MAX_SEED_PARTITIONS partitions or take more than MAX_SEED_WORK
-    steps."""
-    if i > j:
-        return {}
-    if not j:
-        return {(): 1}
-    if i == j:  # the p-th power axiom: P^j(c_j) = c_j^p
-        return {(0,) * (j - 1) + (p,): 1}
-    _check_size(p, i, j)
-    weight = j + i * (p - 1)
-    # a polynomial in sigma is its coefficient list, cut after degree i and
-    # after its true degree, which is at most the weight over p
-    tables = {} if tables is None else tables
-    augmented, power_sums = tables.setdefault((p, i), ({(): [1]}, {}))
 
-    def power_sum(k: int) -> list[int]:
+def _wu(i: int, j: int) -> dict[tuple[int, ...], int]:
+    """P^i(c_j) at p = 2 for 0 <= i < j, by Wu's formula
+    P^i(c_j) = sum_t C(j-i+t-1, t) c_(i-t) c_(j+t), with c_0 = 1.  By
+    Lucas, C(n, t) is odd exactly when the bits of t lie in those of n."""
+    out = {}
+    for t in range(i + 1):
+        n = j - i + t - 1
+        if n & t == t:
+            exps = [0] * (j + t)
+            exps[-1] = 1
+            if t < i:
+                exps[i - t - 1] = 1
+            out[tuple(exps)] = 1
+    return out
+
+
+class _Sums(dict):
+    """The augmented monomial functions of the roots z at one (p, i), keyed
+    by descending tuples, each filled in on its first lookup, and the power
+    sums P_k(z) in `power_sums`, keyed by k.  Each is a polynomial in
+    sigma, cut after degree i, held as its value at sigma = 2^B, one int,
+    where B = `width` bounds every coefficient met: a product is one int
+    product whose slots above degree i are masked off and the rest read as
+    a balanced number, a sum is one int sum.  Entries depend on (p, i, B)
+    alone, and each is stored once complete and never changed."""
+
+    def __init__(self, p: int, i: int, width: int):
+        super().__init__({(): 1})
+        self.p, self.i, self.width = p, i, width
+        self.power_sums: dict[int, int] = {}
+        self.half = 1 << (width * (i + 1) - 1)  # half the range of i + 1 slots
+
+    def power_sum(self, k: int) -> int:
         # Girard-Waring: [sigma^m] P_k(z) = (-1)^(m(p-1)) k/n C(n, m), n = k - (p-1)m
-        out = power_sums.get(k)
+        out = self.power_sums.get(k)
         if out is None:
-            out = []
-            for m in range(min(i, k // p) + 1):
+            p = self.p
+            out = 0
+            for m in range(min(self.i, k // p), -1, -1):
                 n = k - (p - 1) * m
-                out.append((-1) ** (m * (p - 1)) * k * comb(n, m) // n)
-            power_sums[k] = out  # stored once complete
+                out = (out << self.width) + (-1) ** (m * (p - 1)) * k * comb(n, m) // n
+            self.power_sums[k] = out
         return out
 
-    def augmented_monomial(lam: tuple[int, ...], w: int) -> list[int]:
-        # sum of z_{a_1}^lam_1 z_{a_2}^lam_2 ... over distinct a_1, a_2, ...,
-        # where w = |lam|: P_{lam_1} times the sum for the rest, less the
-        # terms with a_1 equal to some a_k, where lam_1 merges into lam_k
-        # (which keeps the merged part first and the tuple descending).
-        # Equal parts of the rest give one merged tuple, subtracted once
-        # per part.
-        out = augmented.get(lam)
-        if out is not None:
-            return out
+    def __missing__(self, lam: tuple[int, ...]) -> int:
+        # sum of z_{a_1}^lam_1 z_{a_2}^lam_2 ... over distinct a_1, a_2, ...:
+        # P_{lam_1} times the sum for the rest, less the terms with a_1 equal
+        # to some a_k, where lam_1 merges into lam_k (which keeps the merged
+        # part first and the tuple descending).  Equal parts of the rest give
+        # one merged tuple, subtracted once per part.
         first, rest = lam[0], lam[1:]
-        size = min(i, w // p) + 1
-        tail = augmented.get(rest) or augmented_monomial(rest, w - first)
-        out = tail + [0] * (size - len(tail))  # P_k = 1 + O(sigma)
-        for a, x in enumerate(power_sum(first)[1:], 1):
-            for b, y in enumerate(tail[:size - a]):
-                out[a + b] += x * y
+        half = self.half
+        out = ((self.power_sum(first) * self[rest] + half) & (2 * half - 1)) - half
         k = 0
         while k < len(rest):
             part = rest[k]
             m = rest.count(part)  # equal parts sit together: rest[k:k + m]
-            key = (first + part,) + rest[:k] + rest[k + 1:]
-            merged = augmented.get(key) or augmented_monomial(key, w)
-            out = [x - m * y for x, y in zip(out, merged)]
+            out -= m * self[(first + part,) + rest[:k] + rest[k + 1:]]
             k += m
-        augmented[lam] = out
+        self[lam] = out
         return out
 
+
+def _generating_function(p: int, i: int, j: int, tables: dict) -> dict[tuple[int, ...], int]:
+    """P^i(c_j) for 0 <= i < j by the generating function, at any p; the
+    seeds at p = 2 come from Wu's formula instead, and tests check the
+    two against each other.  `tables` maps (p, i, B) to the _Sums there."""
+    weight = j + i * (p - 1)
+    width = _slot_width(p, i, weight)
+    augmented = tables.get((p, i, width))
+    if augmented is None:
+        augmented = tables[p, i, width] = _Sums(p, i, width)
     # in the Chern roots P^i(c_j) is m_(p^i, 1^(j-i)), which expands only
     # into the c_J with J dominating its conjugate (j, i^(p-1)); so J_1 >= j.
     # m_J is the augmented function over the factorials of J's multiplicities,
-    # whose product is that of each part's running count in exps
+    # whose product is that of each part's running count in exps.  Its
+    # [sigma^i] is the top balanced digit of the packed int
+    shift = width * i
+    rounding = (1 << shift) >> 1
     out: dict[tuple[int, ...], int] = {}
     for first in range(j, weight + 1):
         for rest in _partitions(weight - first, first, p - 1):
@@ -214,10 +250,35 @@ def reduced_power_on_elementary(p: int, i: int, j: int, *,
             for k in parts:
                 exps[k - 1] += 1
                 factorials *= exps[k - 1]
-            coeff = augmented_monomial(parts, weight)[i] // factorials % p
+            coeff = ((augmented[parts] + rounding) >> shift) // factorials % p
             if coeff:
                 out[tuple(exps)] = coeff
-    # augmented_monomial refers to itself through its closure cell; breaking
-    # that cycle lets tables of the seed's own go as it returns
-    del augmented_monomial
     return out
+
+
+def reduced_power_on_elementary(p: int, i: int, j: int, *,
+                                tables: dict | None = None) -> dict[tuple[int, ...], int]:
+    """P^i(c_j) as {exps: residue mod p}, where exps[k-1] is the exponent
+    of c_k (no trailing zeros), a new dict on each call: by Wu's formula at
+    p = 2, and by the generating function at odd p.
+
+    `tables` maps (p, i, B) to the augmented monomial functions and the
+    power sums of the roots z there, as polynomials in sigma packed in
+    slots of B bits (a `_Sums`), which the odd-p seeds at one (p, i) fill
+    in and share: their entries depend on j only through which of them a
+    seed needs and through B.  They change no result; without them the
+    seed fills tables of its own.
+
+    Raises ValueError, before any summing, when the sum would run over more
+    than MAX_SEED_PARTITIONS partitions or take more than MAX_SEED_WORK
+    steps, at p = 2 too."""
+    if i > j:
+        return {}
+    if not j:
+        return {(): 1}
+    if i == j:  # the p-th power axiom: P^j(c_j) = c_j^p
+        return {(0,) * (j - 1) + (p,): 1}
+    _check_size(p, i, j)
+    if p == 2:
+        return _wu(i, j)
+    return _generating_function(p, i, j, {} if tables is None else tables)

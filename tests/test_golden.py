@@ -8,7 +8,9 @@ identities at the bounds the benchmark runs, before the harness composed
 on exponent dicts; for the verdict grid, the `--class` runs and the error
 paths, before `SteenrodContext` was deleted; for the Tor grid and the
 diagonal seeds P^J(c_J), before odd classes entered linearly; for the
-slot widths, before the image tables packed each monomial into one int).  A
+slot widths, before the image tables packed each monomial into one int; for
+the Chern grid, before the seeds at p = 2 came from Wu's formula and those
+at odd p from packed polynomials in sigma).  A
 refactor that changes a rendered term, an ordering or a JSON payload
 fails here; a deliberate output change must re-record the digest and say
 why.
@@ -153,6 +155,41 @@ def _slot_grid(p):
     return _runs(*runs)
 
 
+def _monomials(top):
+    """Every monomial of weight at most `top` in c1..c_top, "1" first."""
+    def partitions(n, largest):
+        if not n:
+            yield ()
+        for first in range(min(n, largest), 0, -1):
+            for rest in partitions(n - first, first):
+                yield (first,) + rest
+
+    return ["*".join(f"c{k}" + (f"^{lam.count(k)}" if lam.count(k) > 1 else "")
+                     for k in sorted(set(lam))) or "1"
+            for w in range(top + 1) for lam in partitions(w, w)]
+
+
+# one refusal of each kind on the Chern path, each with exit 2 and its
+# message: the seed floor (refused uncounted), the partition cap, the work
+# cap at p = 2 and at an odd prime, the Chern index and the factor cap
+CHERN_REFUSALS = (
+    ("steenrod", "-p", "43", "--poly", "c10001", "--op", "10000"),
+    ("steenrod", "-p", "11", "--poly", "c6", "--op", "5"),
+    ("steenrod", "-p", "2", "--poly", "c1001", "--op", "1000"),
+    ("steenrod", "-p", "3", "--poly", "c400", "--op", "150"),
+    ("steenrod", "-p", "2", "--poly", "c20001", "--op", "1"),
+    ("steenrod", "-p", "2", "--poly", f"c1^{2**1100 + 1}", "--op", "1"),
+)
+
+
+def _chern_grid():
+    """P^op of each of the 30 monomials of weight <= 6 in c1..c6 for
+    op = 0..4 at p = 2, 3, 5, 7, then the refusals."""
+    return _runs(*(("steenrod", "-p", str(p), "--poly", m, "--op", str(op))
+                   for p in (2, 3, 5, 7) for m in _monomials(6) for op in range(5)),
+                 *CHERN_REFUSALS)
+
+
 def _steenrod(p, poly, op):
     return _cli("steenrod", "-p", str(p), "--poly", poly, "--op", str(op), "--json")
 
@@ -211,6 +248,7 @@ CASES = {
     "error paths": lambda: _runs(*ERROR_RUNS),
     "tor grid": _tor_grid,
     "steenrod diagonal grid": _diagonal_grid,
+    "steenrod chern grid": _chern_grid,
 }
 for _p in (2, 3, 5):
     CASES[f"steenrod slot widths p={_p}"] = lambda p=_p: _slot_grid(p)
@@ -264,6 +302,8 @@ DIGESTS = {
         'a1d604332aba6406103ab05034f9b162c7959a75c50ef60e419771dd0fa6662e',
     'steenrod diagonal grid':
         '00d8aa56df031a3321bcdec40bdc8e01401b5ec4b3637184c6532d1ffa97fe8e',
+    'steenrod chern grid':
+        '304398ba403d2ac28eb1379bb92609ab8252b1431108066981d606d22cc37140',
     'steenrod p=2 c1 op=5':
         '43c03205bf2b6cbf1e1b46410e3b83733f2638f69984e668d84c8a90aefdc34f',
     'steenrod p=2 c1^2*c2 + c3 op=2':

@@ -266,13 +266,80 @@ def _wu(i, j):
 
 
 def test_seeds_at_p2_follow_the_wu_formula():
-    # a closed form that shares no code with the generating function
-    seeds = 0
+    # the seeds at p = 2 come from Wu's formula; the generating function,
+    # which the odd primes use, must agree with it there, and the test's
+    # own _wu shares no code with either
+    seeds = generated = 0
     for j in range(1, 41):
         for i in range(j + 1):
-            assert reduced_power_on_elementary(2, i, j) == _wu(i, j), (i, j)
+            want = _wu(i, j)
+            assert reduced_power_on_elementary(2, i, j) == want, (i, j)
             seeds += 1
-    assert seeds == 860
+            if i < j:
+                assert symmetric._generating_function(2, i, j, {}) == want, (i, j)
+                generated += 1
+    assert (seeds, generated) == (860, 820)
+
+
+def _coefficient_bound(p, i, weight):
+    # p! min(2^W, ceil(6W/i)^i) bounds every coefficient of an augmented
+    # function or power sum of weight at most W, cut after sigma^i
+    return math.factorial(p) * (min(2 ** weight, (-(-6 * weight // i)) ** i)
+                                if i else 1)
+
+
+def _balanced_digits(packed, width, count):
+    digits = []
+    for _ in range(count):
+        digit = packed & ((1 << width) - 1)
+        if digit >= 1 << (width - 1):
+            digit -= 1 << width
+        digits.append(digit)
+        packed = (packed - digit) >> width
+    assert packed == 0  # nothing above sigma^i
+    return digits
+
+
+def test_packed_coefficients_fit_their_slots(monkeypatch):
+    # seeds on both sides of the crossover of 2^W and ceil(6W/i)^i, first
+    # in slots of the bound's own width, not rounded to whole words: every
+    # table entry decodes into coefficients within the bound, and the
+    # seeds match those in rounded slots
+    def exact_width(p, i, weight):  # the factor p covers the products
+        return (p * _coefficient_bound(p, i, weight)).bit_length() + 2
+
+    for p in (3, 5, 7, 11):  # the width rounds the bound up to whole words
+        for i in range(40):
+            for weight in range(i * p + 1, i * p + 300, 7):  # W > ip as j > i
+                assert (symmetric._slot_width(p, i, weight)
+                        == -(-exact_width(p, i, weight) // 64) * 64), (p, i, weight)
+    keys = [(p, i, j) for p in (3, 5, 7) for j in range(1, 11) for i in range(j)
+            if j + i * (p - 1) <= 30]
+    want = {key: reduced_power_on_elementary(*key) for key in keys}
+    monkeypatch.setattr(symmetric, "_slot_width", exact_width)
+    sides = set()
+    for p, i, j in keys:
+        weight = j + i * (p - 1)
+        if i:
+            sides.add(2 ** weight < (-(-6 * weight // i)) ** i)
+        tables = {}
+        assert reduced_power_on_elementary(p, i, j, tables=tables) == want[p, i, j]
+        ((key, sums),) = tables.items()
+        width = key[2]
+        assert key == (p, i, exact_width(p, i, weight))
+        bound = _coefficient_bound(p, i, weight)
+        for packed in [*sums.values(), *sums.power_sums.values()]:
+            for digit in _balanced_digits(packed, width, i + 1):
+                assert abs(digit) <= bound < 2 ** (width - 2), (p, i, j)
+    assert (len(keys), sides) == (136, {True, False})
+
+
+def test_too_narrow_slots_give_a_wrong_seed(monkeypatch):
+    # P^3(c6) at p = 7 has coefficients past 2^6: in slots of 8 bits they
+    # spill into their neighbours
+    want = reduced_power_on_elementary(7, 3, 6)
+    monkeypatch.setattr(symmetric, "_slot_width", lambda p, i, weight: 8)
+    assert reduced_power_on_elementary(7, 3, 6) != want
 
 
 def _seeds_sharing_tables(keys):
