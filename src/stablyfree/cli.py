@@ -9,10 +9,11 @@ on invalid input, so pipelines can branch on the verdict.
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .algebra import Element, Exps, polynomial_algebra
 from .koszul import homogeneous_space_odd_basis, homogeneous_space_tor
@@ -21,6 +22,9 @@ from .models import GroupModel, TorsionPrimeError, model_from_matrix_size
 from .obstruction import (check_cohomological, check_gl_quotient,
                           check_orthogonal, check_symplectic, divisibility_scan)
 from .steenrod import AXIOMS, apply_P_polynomial, apply_P_primitive, verify_axiom
+
+if TYPE_CHECKING:
+    import argparse
 
 
 class CliError(Exception):
@@ -257,66 +261,81 @@ def cmd_verify(args) -> int:
 # argument wiring
 # ---------------------------------------------------------------------------
 
-def _add_steenrod(sub):
-    s = sub.add_parser("steenrod", help="apply a reduced power operation P^i")
-    s.add_argument("-p", "--p", dest="p", type=int, required=True,
-                   help="coefficient prime")
-    s.add_argument("--group", help="group model FAMILY:SIZE, e.g. Sp:4 or GL:6")
-    s.add_argument("--class", dest="class_name",
-                   help="odd generator aJ of the group model")
-    s.add_argument("--poly", help="polynomial in Chern classes, e.g. 'c1^2*c2 + c3'")
-    s.add_argument("--op", type=int, required=True, help="operation index i")
-    s.add_argument("--json", action="store_true")
-    s.set_defaults(func=cmd_steenrod)
+class _Option(NamedTuple):
+    """One argument of a command.  `kind` is int or str for an option that
+    stores one value, and bool for a flag; an argument without flags is a
+    positional."""
+    flags: tuple[str, ...]
+    dest: str
+    kind: type
+    required: bool = False
+    default: object = None
+    choices: tuple[str, ...] | None = None
+    help: str | None = None
 
 
-def _add_tor(sub):
-    t = sub.add_parser("tor", help="Tor table of a homogeneous space")
-    t.add_argument("--family", choices=("GL", "Sp", "SO"), required=True)
-    t.add_argument("--n", type=int, required=True, help="rank parameter")
-    t.add_argument("--r", type=int, help="subgroup rank (GL default 0, "
-                                         "Sp/SO default n-1)")
-    t.add_argument("-p", "--p", dest="p", type=int, required=True)
-    t.add_argument("--bound", type=int, help="internal degree bound")
-    t.add_argument("--json", action="store_true")
-    t.set_defaults(func=cmd_tor)
+class _Command(NamedTuple):
+    help: str
+    func: Callable[..., int]
+    arguments: tuple[_Option, ...]
 
 
-def _add_obstruct(sub):
-    o = sub.add_parser("obstruct", help="section obstruction verdicts")
-    o.add_argument("shape", choices=("gl", "sp", "so", "scan"))
-    o.add_argument("--n", type=int, help="rank parameter")
-    o.add_argument("--a", type=int, help="gl: source subgroup rank")
-    o.add_argument("--b", type=int, help="gl: target subgroup rank")
-    o.add_argument("-p", "--p", dest="p", type=int, required=True)
-    o.add_argument("--oracle", action="store_true",
-                   help="cross-check with the cohomological engine")
-    o.add_argument("--q", type=int, help="scan: corank of the source")
-    o.add_argument("--n-max", type=int, default=50, help="scan: largest n")
-    o.add_argument("--json", action="store_true")
-    o.set_defaults(func=cmd_obstruct)
+def _prime_option(help: str | None = None) -> _Option:
+    return _Option(("-p", "--p"), "p", int, required=True, help=help)
 
 
-def _add_verify(sub):
-    v = sub.add_parser("verify", help="check the defining operation axioms")
-    v.add_argument("--axiom", required=True,
-                   help="one of: " + ", ".join(AXIOMS))
-    v.add_argument("-p", "--p", dest="p", type=int, required=True)
-    v.add_argument("--bound", type=int, required=True, help="weight bound")
-    v.add_argument("--gens", type=int, default=5,
-                   help="number of Chern generators in the test pool")
-    v.add_argument("--json", action="store_true")
-    v.set_defaults(func=cmd_verify)
+_JSON = _Option(("--json",), "json", bool, default=False)
+
+# the one description of every command's arguments, read by build_parser
+# and by _parse
+_COMMANDS = {
+    "steenrod": _Command("apply a reduced power operation P^i", cmd_steenrod, (
+        _prime_option("coefficient prime"),
+        _Option(("--group",), "group", str,
+                help="group model FAMILY:SIZE, e.g. Sp:4 or GL:6"),
+        _Option(("--class",), "class_name", str,
+                help="odd generator aJ of the group model"),
+        _Option(("--poly",), "poly", str,
+                help="polynomial in Chern classes, e.g. 'c1^2*c2 + c3'"),
+        _Option(("--op",), "op", int, required=True, help="operation index i"),
+        _JSON)),
+    "tor": _Command("Tor table of a homogeneous space", cmd_tor, (
+        _Option(("--family",), "family", str, required=True,
+                choices=("GL", "Sp", "SO")),
+        _Option(("--n",), "n", int, required=True, help="rank parameter"),
+        _Option(("--r",), "r", int,
+                help="subgroup rank (GL default 0, Sp/SO default n-1)"),
+        _prime_option(),
+        _Option(("--bound",), "bound", int, help="internal degree bound"),
+        _JSON)),
+    "obstruct": _Command("section obstruction verdicts", cmd_obstruct, (
+        _Option((), "shape", str, required=True, choices=("gl", "sp", "so", "scan")),
+        _Option(("--n",), "n", int, help="rank parameter"),
+        _Option(("--a",), "a", int, help="gl: source subgroup rank"),
+        _Option(("--b",), "b", int, help="gl: target subgroup rank"),
+        _prime_option(),
+        _Option(("--oracle",), "oracle", bool, default=False,
+                help="cross-check with the cohomological engine"),
+        _Option(("--q",), "q", int, help="scan: corank of the source"),
+        _Option(("--n-max",), "n_max", int, default=50, help="scan: largest n"),
+        _JSON)),
+    "verify": _Command("check the defining operation axioms", cmd_verify, (
+        _Option(("--axiom",), "axiom", str, required=True,
+                help="one of: " + ", ".join(AXIOMS)),
+        _prime_option(),
+        _Option(("--bound",), "bound", int, required=True, help="weight bound"),
+        _Option(("--gens",), "gens", int, default=5,
+                help="number of Chern generators in the test pool"),
+        _JSON)),
+}
 
 
-_COMMANDS = {"steenrod": _add_steenrod, "tor": _add_tor, "obstruct": _add_obstruct,
-             "verify": _add_verify}
+def build_parser() -> argparse.ArgumentParser:
+    """A new argparse parser for every subcommand, built from _COMMANDS.
+    main builds it only for argv that _parse leaves to it: help, usage
+    errors and the spellings that only argparse reads."""
+    import argparse
 
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """A new argument parser for every subcommand, or with `command` for
-    that one alone.  The one-command parser parses that command's arguments
-    as the full one does, but its own usage line names no other command."""
     parser = argparse.ArgumentParser(
         prog="stablyfree",
         description="Exact mod-p computations: reduced power operations on "
@@ -325,35 +344,73 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                     "aJ is the odd degree-(2J-1, J) generator, cJ the Chern "
                     "class of bidegree (2J, J).")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, add in _COMMANDS.items():
-        if command in (None, name):
-            add(sub)
+    for name, command in _COMMANDS.items():
+        s = sub.add_parser(name, help=command.help)
+        for o in command.arguments:
+            if not o.flags:
+                s.add_argument(o.dest, choices=o.choices)
+            elif o.kind is bool:
+                s.add_argument(*o.flags, dest=o.dest, action="store_true", help=o.help)
+            else:
+                s.add_argument(*o.flags, dest=o.dest, type=o.kind, required=o.required,
+                               default=o.default, choices=o.choices, help=o.help)
+        s.set_defaults(func=command.func)
     return parser
 
 
-# built on first use, so that importing the module stays cheap: a parser for
-# each command named first, which builds in about 60% of the time of the
-# full one, and the full parser, under None
-_PARSERS: dict[str | None, argparse.ArgumentParser] = {}
-
-
-def _parser(command: str | None) -> argparse.ArgumentParser:
-    if command not in _PARSERS:
-        _PARSERS[command] = build_parser(command)
-    return _PARSERS[command]
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace that build_parser().parse_args(argv) returns, read from
+    _COMMANDS without argparse, or None.  It is read only when argv is a
+    command name followed by that command's exact option strings, each
+    option that stores a value followed by one value that does not start
+    with '-', and obstruct's shape; every value must convert and be one of
+    its choices, and every required argument must be there.  Any other argv
+    (help, abbreviations, --opt=value, -p7, negative values, a usage error)
+    gives None."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    flags = {flag: o for o in command.arguments for flag in o.flags}
+    positional = next((o for o in command.arguments if not o.flags), None)
+    values = {o.dest: o.default for o in command.arguments}
+    seen = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        o = flags.get(token)
+        if o is not None and o.kind is bool:
+            value = True
+        elif o is not None:
+            value = next(tokens, "-")  # a missing value reads as an option
+            if value.startswith("-"):
+                return None
+            try:
+                value = o.kind(value)
+            except ValueError:
+                return None
+        elif positional is not None and positional.dest not in seen:
+            o, value = positional, token
+        else:
+            return None
+        if o.choices is not None and value not in o.choices:
+            return None
+        values[o.dest] = value
+        seen.add(o.dest)
+    if any(o.required and o.dest not in seen for o in command.arguments):
+        return None
+    if values.get("shape") in ("gl", "sp", "so") and values["n"] is None:
+        return None  # main's own usage error, from the full parser
+    return SimpleNamespace(command=argv[0], func=command.func, **values)
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # -h, an unknown command and every top-level error go to the full
-    # parser, whose usage line lists all the commands
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args, extra = _parser(command).parse_known_args(argv)
-    if extra:  # unrecognized arguments, reported by the full parser
-        args = _parser(None).parse_args(argv)
-    if getattr(args, "shape", None) in ("gl", "sp", "so") and args.n is None:
-        _parser(None).error("obstruct needs --n")
+    args = _parse(argv)
+    if args is None:  # argparse accepts it, prints help or exits 2
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        if getattr(args, "shape", None) in ("gl", "sp", "so") and args.n is None:
+            parser.error("obstruct needs --n")
     try:
         return args.func(args)
     except (CliError, ValueError) as e:

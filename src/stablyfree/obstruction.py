@@ -245,14 +245,28 @@ class DivisibilityScan(NamedTuple):
                 "rows": [{"n": n, "obstructed": o} for n, o in self.rows]}
 
 
+# the largest corank of a scan: the combined modulus N_q has 3 902 digits at
+# q = 9000, and from q = 9859 on more than the 4 300 that CPython converts to
+# a string
+MAX_SCAN_Q = 9000
+# the largest n of a scan, which reports one row per n: 10^6 rows took
+# 10.4 s and 3.4 MB of text
+MAX_SCAN_N = 1_000_000
+
+
 def divisibility_scan(q: int, p: Prime, n_max: int) -> DivisibilityScan:
     """Check, for q <= n <= n_max, whether the witness scan for
     GL_n/GL_{n-q} -> GL_n/GL_{n-1} leaves exactly the multiples of
-    p^(1 + n(p, q)) unobstructed."""
+    p^(1 + n(p, q)) unobstructed.  A q past MAX_SCAN_Q or an n_max past
+    MAX_SCAN_N is refused before any work."""
     if q < 1:
         raise ValueError("q must be at least 1")
+    if q > MAX_SCAN_Q:
+        raise ValueError(f"q = {q} is past the largest corank allowed, {MAX_SCAN_Q}")
     if n_max < q:
         raise ValueError("n_max must be at least q")
+    if n_max > MAX_SCAN_N:
+        raise ValueError(f"n_max = {n_max} is past the largest n allowed, {MAX_SCAN_N}")
     divisor = p.value ** (1 + exponent_n(p, q))
     rows = []
     match = True

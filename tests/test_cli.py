@@ -6,6 +6,8 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stablyfree import cli, steenrod
 from stablyfree.cli import build_parser, main, parse_polynomial
@@ -442,27 +444,14 @@ def test_import_loads_no_heavy_stdlib_modules():
     proc = subprocess.run(
         [sys.executable, "-S", "-c",
          "import sys, stablyfree.cli; "
-         "print(sorted({'dataclasses', 'inspect', 'random'} & set(sys.modules)))"],
+         "print(sorted({'argparse', 'dataclasses', 'inspect', 'random'} & set(sys.modules)))"],
         capture_output=True, text=True,
         env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"},
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
-def test_main_reuses_one_parser(monkeypatch):
-    def no_rebuild():
-        raise AssertionError("main rebuilt its parser")
-
-    run_cli("steenrod", "-p", "3", "--poly", "c1", "--op", "0")
-    monkeypatch.setattr(cli, "build_parser", no_rebuild)
-    for _ in range(2):
-        assert run_cli("steenrod", "-p", "2", "--poly", "c2", "--op", "1") == \
-            (0, "c1*c2 + c3\n", "")
-    monkeypatch.undo()
-    assert build_parser() is not build_parser()  # still public, still fresh
-
-
-# -- one parser per command ---------------------------------------------------
+# -- parsing from the option table ------------------------------------------
 
 def run_cli_exit(*argv):
     """run_cli, counting argparse's own exit as the exit code."""
@@ -505,30 +494,114 @@ def test_help_is_that_of_the_full_parser(command, monkeypatch):
         assert hashlib.sha256(out.encode()).hexdigest() == HELP_DIGESTS[command]
 
 
-def test_main_builds_the_parser_of_the_command_named_first(monkeypatch):
+# one well-formed call of each command
+WELL_FORMED = [
+    ["steenrod", "-p", "2", "--poly", "c2", "--op", "1"],
+    ["tor", "--family", "Sp", "--n", "2", "-p", "3", "--json"],
+    ["obstruct", "gl", "--n", "3", "--a", "0", "--b", "2", "-p", "2"],
+    ["verify", "--axiom", "cartan", "-p", "2", "--bound", "6"],
+]
+
+
+def test_main_builds_no_parser_for_a_well_formed_call(monkeypatch):
+    def no_parser():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "_parse", lambda argv: None)  # argparse reads all
+    expected = [run_cli(*argv) for argv in WELL_FORMED]
+    assert all(code == 0 and err == "" for code, _, err in expected)
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "build_parser", no_parser)
+    assert [run_cli(*argv) for argv in WELL_FORMED] == expected
+    monkeypatch.undo()
+    assert build_parser() is not build_parser()  # still public, still fresh
+
+
+# argv that the option table leaves to argparse: it accepts some of them,
+# prints help for others, and refuses the rest with exit 2
+FALLBACK_ARGV = [
+    ["steenrod", "-p", "2", "--pol", "c2", "--op", "1"],
+    ["verify", "--axiom", "cartan", "-p", "2", "--bou", "6"],
+    ["steenrod", "-p", "3", "--poly=c1*c2", "--op", "1"],
+    ["steenrod", "-p7", "--poly", "c3", "--op", "1"],
+    ["steenrod", "-p", "3", "--poly", "c2", "--op", "-1"],
+    ["obstruct", "sp", "--n", "-3", "-p", "3"],
+    ["-h"],
+    ["tor", "-h"],
+    [],
+    ["steenrod", "--poly", "c1", "--op", "1"],
+    ["steenrod", "-p", "2", "--poly", "c1", "--op"],
+    ["tor", "--family", "GL", "--n", "3", "-p", "2", "--bogus"],
+    ["bogus", "-p", "2"],
+    ["verify", "--axiom", "adem", "-p", "2", "--bound", "x"],
+    ["tor", "--family", "XX", "--n", "3", "-p", "2"],
+    ["obstruct", "gl", "-p", "2"],
+    ["obstruct", "gl", "sp", "--n", "3", "-p", "2"],
+    ["steenrod", "-p", "2", "--poly", "c1", "--op", "1", "--json=1"],
+]
+
+
+def test_other_argv_build_the_full_parser(monkeypatch):
     built = []
     true_build = cli.build_parser
 
-    def recording(command=None):
-        built.append(command)
-        return true_build(command)
+    def recording():
+        built.append(True)
+        return true_build()
 
-    monkeypatch.setattr(cli, "_PARSERS", {})
     monkeypatch.setattr(cli, "build_parser", recording)
-    assert run_cli("steenrod", "-p", "2", "--poly", "c2", "--op", "1") == \
-        (0, "c1*c2 + c3\n", "")
-    assert run_cli("steenrod", "-p", "3", "--poly", "c1", "--op", "0") == (0, "c1\n", "")
-    assert built == ["steenrod"]
-    # -h, an unknown command and unrecognized arguments go to the full parser
-    for argv in (["-h"], ["bogus"], ["steenrod", "-p", "2", "--op", "1", "--bogus"]):
+    for argv in FALLBACK_ARGV:
+        assert cli._parse(argv) is None
         code, _, _ = run_cli_exit(*argv)
         assert code in (0, 2)
-    assert built == ["steenrod", None]
+    assert len(built) == len(FALLBACK_ARGV)
+
+
+# values that both parsers read, values that they refuse, and tokens that
+# argparse reads in its own way
+_INTS = ("0", "1", "2", "3", "5", "7", "12", " 7", "+7", "7_0")
+_STRS = ("c1", "c1*c2 + c3", "Sp:4", "a2", "adem", "gl", "", "=", " ")
+_BAD_VALUES = ("x", "-1", "-", "--", "-h", "--json", "--p")
+_STRAY = ("=", "-", "--", " 7", "+7", "7_0", "", "-1", "-h", "--help", "-p7",
+          "--poly=c1", "--pol", "--po", "--n-", "--js", "--json=1", "--bogus",
+          "gl", "scan", "steenrod", "-p=2", "--p=2")
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_table_parser_agrees_with_argparse(data):
+    """Whenever _parse reads an argv, argparse reads it to the same
+    namespace.  The argv hold the command's arguments in any order, each
+    once or twice (or, when spoilt, also never), with values that both
+    read or, when spoilt, also values and stray tokens that either refuses."""
+    name = data.draw(st.sampled_from(list(cli._COMMANDS)), label="command")
+    spoilt = data.draw(st.booleans(), label="spoilt")
+    chunks = []
+    for o in cli._COMMANDS[name].arguments:
+        values = o.choices or (_INTS if o.kind is int else _STRS)
+        if spoilt:
+            values += _BAD_VALUES
+        least = 0 if spoilt or not o.required else 1
+        for _ in range(data.draw(st.integers(least, 2), label=o.dest)):
+            flags = [[flag] for flag in o.flags] or [[]]
+            chunk = data.draw(st.sampled_from(flags))
+            if o.kind is not bool:
+                chunk = chunk + [data.draw(st.sampled_from(values))]
+            chunks.append(chunk)
+    chunks = data.draw(st.permutations(chunks))
+    argv = [name] + [token for chunk in chunks for token in chunk]
+    for _ in range(data.draw(st.integers(0, 2 if spoilt else 0), label="strays")):
+        at = data.draw(st.integers(1, len(argv)))
+        argv.insert(at, data.draw(st.sampled_from(_STRAY)))
+    args = cli._parse(argv)
+    if args is not None:
+        assert vars(args) == vars(build_parser().parse_args(argv))
 
 
 def test_one_process_runs_every_command_then_a_usage_error():
-    # a fresh process, so that each parser is built on its first use, in
-    # this order; each output must equal that of the same call here
+    # a fresh process, in which the well-formed calls leave argparse
+    # unloaded and the usage error loads it; each output must equal that of
+    # the same call here
     runs = [
         ["steenrod", "-p", "7", "--poly", "c2*c3", "--op", "1"],
         ["tor", "--family", "Sp", "--n", "3", "-p", "3"],
@@ -547,12 +620,13 @@ def test_one_process_runs_every_command_then_a_usage_error():
         "            code = main(argv)\n"
         "        except SystemExit as e:\n"
         "            code = e.code\n"
-        "    results.append([code, out.getvalue(), err.getvalue()])\n"
+        "    results.append([code, out.getvalue(), err.getvalue(), 'argparse' in sys.modules])\n"
         "print(json.dumps(results))\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"})
     assert (proc.returncode, proc.stderr) == (0, "")
-    results = [tuple(r) for r in json.loads(proc.stdout)]
+    results = [tuple(r[:3]) for r in json.loads(proc.stdout)]
+    assert [r[3] for r in json.loads(proc.stdout)] == [False] * 4 + [True]
     assert results == [run_cli_exit(*argv) for argv in runs]
     assert [code for code, _, _ in results] == [0, 0, 0, 0, 2]
     assert results[-1][2] == ("usage: stablyfree [-h] {steenrod,tor,obstruct,verify} ...\n"

@@ -190,6 +190,26 @@ def test_divisibility_scan_validation():
         divisibility_scan(5, P2, 4)
 
 
+def test_divisibility_scan_past_the_caps_is_refused_before_any_work(monkeypatch):
+    # the caps are set small, so that no oversized scan runs
+    from stablyfree import obstruction
+
+    def no_work(*args):
+        raise AssertionError("the scan did work")
+
+    monkeypatch.setattr(obstruction, "MAX_SCAN_Q", 4)
+    monkeypatch.setattr(obstruction, "MAX_SCAN_N", 12)
+    assert divisibility_scan(4, P2, 12).match
+    for name in ("check_gl_quotient", "exponent_n", "raynaud_number"):
+        monkeypatch.setattr(obstruction, name, no_work)
+    with pytest.raises(ValueError, match=r"^q = 5 is past the largest corank "
+                                         r"allowed, 4$"):
+        divisibility_scan(5, P2, 12)
+    with pytest.raises(ValueError, match=r"^n_max = 13 is past the largest n "
+                                         r"allowed, 12$"):
+        divisibility_scan(4, P2, 13)
+
+
 def test_combined_modulus():
     # the modulus over all characteristics is raynaud_number(q, 0)
     assert raynaud_number(1, 0) == 1
