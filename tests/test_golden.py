@@ -12,7 +12,10 @@ slot widths, before the image tables packed each monomial into one int; for
 the Chern grid, before the seeds at p = 2 came from Wu's formula and those
 at odd p from packed polynomials in sigma; for the CLI spellings, before
 well-formed calls were read from an option table without argparse; for
-the scan refusals, when the scan's caps came in).  A
+the scan refusals, when the scan's caps came in; for the Chern grid in
+JSON, the verify sweep and the polynomial parser grid, before the parser
+read each term in one loop and the library alone checked an axiom's
+name).  A
 refactor that changes a rendered term, an ordering or a JSON payload
 fails here; a deliberate output change must re-record the digest and say
 why.
@@ -21,17 +24,18 @@ why.
 import hashlib
 import io
 import math
+import random
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
 from stablyfree import obstruction
-from stablyfree.cli import main
+from stablyfree.cli import CliError, main, parse_polynomial
 from stablyfree.modp import Prime
 from stablyfree.models import FAMILIES, GroupModel
 from stablyfree.obstruction import check_gl_quotient
-from stablyfree.steenrod import verify_axiom
+from stablyfree.steenrod import AXIOMS, verify_axiom
 
 
 def _axiom(axiom, p, bound):
@@ -247,6 +251,67 @@ def _chern_grid():
                  *CHERN_REFUSALS)
 
 
+def _chern_grid_json():
+    """The Chern grid and its refusals, each with --json."""
+    return _runs(*(("steenrod", "-p", str(p), "--poly", m, "--op", str(op), "--json")
+                   for p in (2, 3, 5, 7) for m in _monomials(6) for op in range(5)),
+                 *((*argv, "--json") for argv in CHERN_REFUSALS))
+
+
+# the bounds the Adem harness is checked to at each prime
+SWEEP_BOUNDS = {2: 16, 3: 15, 5: 13}
+
+
+def _verify_sweep():
+    """Every axiom at every bound up to SWEEP_BOUNDS, in text and JSON, then
+    an unknown axiom."""
+    return _runs(*(("verify", "--axiom", axiom, "-p", str(p), "--bound", str(bound), *fmt)
+                   for axiom in AXIOMS for p, top in SWEEP_BOUNDS.items()
+                   for bound in range(top + 1) for fmt in FORMATS),
+                 ("verify", "--axiom", "bogus", "-p", "2", "--bound", "3"))
+
+
+# the pieces of a random --poly text: well-formed factors and operators,
+# and what the parser refuses (bad generators, parentheses)
+POLY_FACTORS = ("c1", "c2", "c10", "2", "0", "10")
+POLY_OPERATORS = ("+", "-", "*", "^")
+POLY_ALPHABET = POLY_FACTORS + POLY_OPERATORS + ("c0", "a2", "c01", "(", ")", "x3", "C2")
+# malformed input of tests/test_cli.py, and errors of two kinds at once:
+# the first one reported is part of the output
+POLY_FIXED = ("", "c2 +", "a2", "c1 ** 2", "c1 ^", "(c1)", "^2", "c0", "c1^^2", "c2*",
+              "*c2", "c1 c2", "a2 (", "c0 + c20001", "c20001 c1")
+
+
+def _poly_text(rng):
+    """Up to nine pieces, each a factor after an operator and an operator
+    after a factor, or one in seven any piece of POLY_ALPHABET, each
+    followed by nothing, a space or a tab."""
+    pieces, factor = [], True
+    for _ in range(rng.randrange(1, 10)):
+        if rng.random() < 0.15:
+            piece = rng.choice(POLY_ALPHABET)
+        else:
+            piece = rng.choice(POLY_FACTORS if factor else POLY_OPERATORS)
+        factor = piece in POLY_OPERATORS
+        pieces.append(piece + rng.choice(("", "", " ", "\t")))
+    return "".join(pieces)
+
+
+def _poly_grid():
+    """parse_polynomial on 2000 seeded random texts and POLY_FIXED, at
+    p = 2, 3, 5, 7 in turn: each rendered element or exact message."""
+    rng = random.Random(2103)
+    lines = []
+    for k, text in enumerate([_poly_text(rng) for _ in range(2000)] + list(POLY_FIXED)):
+        p = (2, 3, 5, 7)[k % 4]
+        try:
+            result = parse_polynomial(text, Prime(p)).render()
+        except (CliError, ValueError) as e:
+            result = f"{type(e).__name__}: {e}"
+        lines.append(f"{text!r} p={p}: {result}")
+    return "\n".join(lines)
+
+
 def _steenrod(p, poly, op):
     return _cli("steenrod", "-p", str(p), "--poly", poly, "--op", str(op), "--json")
 
@@ -308,6 +373,9 @@ CASES = {
     "tor grid": _tor_grid,
     "steenrod diagonal grid": _diagonal_grid,
     "steenrod chern grid": _chern_grid,
+    "steenrod chern grid json": _chern_grid_json,
+    "verify sweep": _verify_sweep,
+    "poly parser grid": _poly_grid,
 }
 for _p in (2, 3, 5):
     CASES[f"steenrod slot widths p={_p}"] = lambda p=_p: _slot_grid(p)
@@ -363,6 +431,8 @@ DIGESTS = {
         '00d8aa56df031a3321bcdec40bdc8e01401b5ec4b3637184c6532d1ffa97fe8e',
     'steenrod chern grid':
         '304398ba403d2ac28eb1379bb92609ab8252b1431108066981d606d22cc37140',
+    'steenrod chern grid json':
+        '445eb5067d7d5b9aa90d89f441c97d0a1eb94153a09445b5396b23d9ced5d22b',
     'steenrod p=2 c1 op=5':
         '43c03205bf2b6cbf1e1b46410e3b83733f2638f69984e668d84c8a90aefdc34f',
     'steenrod p=2 c1^2*c2 + c3 op=2':
@@ -431,6 +501,10 @@ DIGESTS = {
         '88f1a298f1b8b4812adc2905922dc09e6b760b3be37fa6888e9a0edb5f8798cf',
     'scan refusals':
         'e39d058dd772d3a2539914a2bff0114bce8585ccd6488e592944d3418765141c',
+    'verify sweep':
+        '2242a9ceb3eeeab301f27338106e68d622fb7799315288b6df1c09f7d3aad761',
+    'poly parser grid':
+        'e489520ec113263e6b9bc80fd19b07ed672a7ec00f89a82ba621164085ead21d',
     'verdict grid gl p=2':
         '183665664705d7452aba0c8b6fd1eaeb8fcb01b84b8a884477356e433e93106d',
     'verdict grid gl p=3':
