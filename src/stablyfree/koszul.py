@@ -246,12 +246,18 @@ def homogeneous_space_tor(family: str, n: int, r: int | None = None,
                           p: Prime | None = None,
                           degree_bound: int | None = None) -> TorTable:
     """Full Tor table for the homogeneous space, up to the internal degree
-    bound (default: twice the top generator index)."""
+    bound (default: twice the top generator index).  The subgroup rank r
+    defaults to 0 for GL and to corank one, n - 1, for Sp / SO, which at
+    n = 0 must be given instead."""
     if p is None:
         raise ValueError("a coefficient prime is required")
+    model = GroupModel(family, n)
     if r is None:
+        if family != "GL" and not n:
+            model.check_prime(p)  # a torsion prime is refused first
+            raise ValueError(f"{family} at n=0 has no corank-one subgroup; give r")
         r = 0 if family == "GL" else n - 1
-    indices = GroupModel(family, n).generator_indices()
+    indices = model.generator_indices()
     if degree_bound is None:
         degree_bound = 2 * max(indices, default=0)
     return _tor_table_cached(family, n, r, p.value, degree_bound)
@@ -262,10 +268,10 @@ def homogeneous_space_odd_basis(family: str, n: int, r: int | None = None,
     """Odd-degree linear cohomology basis of the homogeneous space.
 
     GL: the quotient GL_n / GL_r, any 0 <= r <= n.  Sp / SO: the quotient
-    by the subgroup of rank r (default corank one, r = n - 1); SO needs
-    p > 2.  The basis is read off the homological-index-one part of the
-    Koszul homology and comes back as odd generators a_j with their
-    bidegrees.
+    by the subgroup of rank r (default corank one, r = n - 1, which
+    n = 0 lacks); SO needs p > 2.  The basis is read off the
+    homological-index-one part of the Koszul homology and comes back as
+    odd generators a_j with their bidegrees.
     """
     table = homogeneous_space_tor(family, n, r, p)
     out = []

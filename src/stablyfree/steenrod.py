@@ -393,7 +393,7 @@ def verify_axiom(axiom: str, p: Prime, degree_bound: int,
     """Exhaustively check one defining property on a deterministic pool of
     test classes, keeping every evaluation within the weight bound."""
     if axiom not in AXIOMS:
-        raise ValueError(f"unknown axiom {axiom!r}; expected one of {AXIOMS}")
+        raise ValueError(f"unknown axiom {axiom!r}; choose from {', '.join(AXIOMS)}")
     if degree_bound < 0:
         raise ValueError("degree bound must be nonnegative")
     if n_generators < 1:

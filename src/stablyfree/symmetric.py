@@ -180,33 +180,29 @@ def _wu(i: int, j: int) -> dict[tuple[int, ...], int]:
 
 class _Sums(dict):
     """The augmented monomial functions of the roots z at one (p, i), keyed
-    by descending tuples, each filled in on its first lookup, and the power
-    sums P_k(z) in `power_sums`, keyed by k.  Each is a polynomial in
-    sigma, cut after degree i, held as its value at sigma = 2^B, one int,
-    where B = `width` bounds every coefficient met: a product is one int
-    product whose slots above degree i are masked off and the rest read as
-    a balanced number, a sum is one int sum.  Entries depend on (p, i, B)
+    by descending tuples, each filled in on its first lookup; the one-part
+    entry (k,) is the power sum P_k(z).  Each is a polynomial in sigma, cut
+    after degree i, held as its value at sigma = 2^B, one int, where
+    B = `width` bounds every coefficient met: a product is one int product
+    whose slots above degree i are masked off and the rest read as a
+    balanced number, a sum is one int sum.  Entries depend on (p, i, B)
     alone, and each is stored once complete and never changed."""
 
     def __init__(self, p: int, i: int, width: int):
         super().__init__({(): 1})
         self.p, self.i, self.width = p, i, width
-        self.power_sums: dict[int, int] = {}
         self.half = 1 << (width * (i + 1) - 1)  # half the range of i + 1 slots
 
-    def power_sum(self, k: int) -> int:
-        # Girard-Waring: [sigma^m] P_k(z) = (-1)^(m(p-1)) k/n C(n, m), n = k - (p-1)m
-        out = self.power_sums.get(k)
-        if out is None:
-            p = self.p
-            out = 0
+    def __missing__(self, lam: tuple[int, ...]) -> int:
+        if len(lam) == 1:
+            # the power sum P_k(z), by Girard-Waring:
+            # [sigma^m] P_k(z) = (-1)^(m(p-1)) k/n C(n, m), n = k - (p-1)m
+            (k,), p, out = lam, self.p, 0
             for m in range(min(self.i, k // p), -1, -1):
                 n = k - (p - 1) * m
                 out = (out << self.width) + (-1) ** (m * (p - 1)) * k * comb(n, m) // n
-            self.power_sums[k] = out
-        return out
-
-    def __missing__(self, lam: tuple[int, ...]) -> int:
+            self[lam] = out
+            return out
         # sum of z_{a_1}^lam_1 z_{a_2}^lam_2 ... over distinct a_1, a_2, ...:
         # P_{lam_1} times the sum for the rest, less the terms with a_1 equal
         # to some a_k, where lam_1 merges into lam_k (which keeps the merged
@@ -214,7 +210,7 @@ class _Sums(dict):
         # one merged tuple, subtracted once per part.
         first, rest = lam[0], lam[1:]
         half = self.half
-        out = ((self.power_sum(first) * self[rest] + half) & (2 * half - 1)) - half
+        out = ((self[first,] * self[rest] + half) & (2 * half - 1)) - half
         k = 0
         while k < len(rest):
             part = rest[k]
@@ -262,12 +258,12 @@ def reduced_power_on_elementary(p: int, i: int, j: int, *,
     of c_k (no trailing zeros), a new dict on each call: by Wu's formula at
     p = 2, and by the generating function at odd p.
 
-    `tables` maps (p, i, B) to the augmented monomial functions and the
-    power sums of the roots z there, as polynomials in sigma packed in
-    slots of B bits (a `_Sums`), which the odd-p seeds at one (p, i) fill
-    in and share: their entries depend on j only through which of them a
-    seed needs and through B.  They change no result; without them the
-    seed fills tables of its own.
+    `tables` maps (p, i, B) to the augmented monomial functions of the
+    roots z there, the power sums among them, as polynomials in sigma
+    packed in slots of B bits (a `_Sums`), which the odd-p seeds at one
+    (p, i) fill in and share: their entries depend on j only through which
+    of them a seed needs and through B.  They change no result; without
+    them the seed fills tables of its own.
 
     Raises ValueError, before any summing, when the sum would run over more
     than MAX_SEED_PARTITIONS partitions or take more than MAX_SEED_WORK

@@ -57,6 +57,15 @@ def test_parse_polynomial_rejects_garbage():
         assert str(exc.value) == message, bad
 
 
+def test_polynomial_starting_with_a_minus():
+    # argparse takes a value that starts with '-' for an option: an
+    # attached value, or a leading 0, passes it
+    code, out, err = run_cli_exit("steenrod", "-p", "3", "--poly", "-c1", "--op", "0")
+    assert (code, out) == (2, "") and "expected one argument" in err
+    for argv in (("--poly=-c1",), ("--poly", "0 - c1")):
+        assert run_cli("steenrod", "-p", "3", *argv, "--op", "0") == (0, "2*c1\n", "")
+
+
 def test_parse_polynomial_ignores_trailing_whitespace():
     p = Prime(3)
     for text in ["c2 ", "c1*c2 + c3\t", "2*c1^3 \n"]:
@@ -229,6 +238,16 @@ def test_tor_sp_example():
 def test_tor_so_torsion_prime():
     code, out, err = run_cli("tor", "--family", "SO", "--n", "3", "--p", "2")
     assert code == 2 and not out and "torsion prime" in err
+
+
+def test_tor_at_n_zero_names_the_missing_subgroup():
+    for family, p in (("Sp", "2"), ("SO", "3")):
+        assert run_cli("tor", "--family", family, "--n", "0", "-p", p) == (
+            2, "", f"error: {family} at n=0 has no corank-one subgroup; give r\n")
+    code, out, err = run_cli("tor", "--family", "SO", "--n", "0", "-p", "2")
+    assert code == 2 and not out and "torsion prime" in err
+    code, out, err = run_cli("tor", "--family", "Sp", "--n", "0", "--r", "0", "-p", "2")
+    assert (code, err) == (0, "") and out.endswith("odd basis: (empty)\n")
 
 
 def test_tor_json():
@@ -535,7 +554,6 @@ FALLBACK_ARGV = [
     ["bogus", "-p", "2"],
     ["verify", "--axiom", "adem", "-p", "2", "--bound", "x"],
     ["tor", "--family", "XX", "--n", "3", "-p", "2"],
-    ["obstruct", "gl", "-p", "2"],
     ["obstruct", "gl", "sp", "--n", "3", "-p", "2"],
     ["steenrod", "-p", "2", "--poly", "c1", "--op", "1", "--json=1"],
 ]
@@ -596,6 +614,17 @@ def test_table_parser_agrees_with_argparse(data):
     args = cli._parse(argv)
     if args is not None:
         assert vars(args) == vars(build_parser().parse_args(argv))
+
+
+def test_both_parsers_refuse_obstruct_without_n(monkeypatch):
+    # main alone checks --n, on the namespace of either parser
+    argv = ("obstruct", "gl", "-p", "2")
+    assert cli._parse(list(argv)) is not None
+    want = (2, "", "usage: stablyfree [-h] {steenrod,tor,obstruct,verify} ...\n"
+                   "stablyfree: error: obstruct needs --n\n")
+    assert run_cli_exit(*argv) == want
+    monkeypatch.setattr(cli, "_parse", lambda argv: None)
+    assert run_cli_exit(*argv) == want
 
 
 def test_one_process_runs_every_command_then_a_usage_error():

@@ -258,7 +258,7 @@ def _chern_grid_json():
                  *((*argv, "--json") for argv in CHERN_REFUSALS))
 
 
-# the bounds the Adem harness is checked to at each prime
+# the largest bound the verify sweep reaches at each prime
 SWEEP_BOUNDS = {2: 16, 3: 15, 5: 13}
 
 

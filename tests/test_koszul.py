@@ -114,6 +114,20 @@ def test_group_itself_via_r_zero():
     assert homogeneous_space_odd_basis("GL", 3, 3, P2) == []
 
 
+def test_sp_so_at_n_zero_need_an_explicit_subgroup():
+    # n = 0 has no corank-one subgroup to default to; an explicit r = 0 is
+    # the trivial quotient, and SO at p = 2 is refused as a torsion prime first
+    for family, p in (("Sp", P2), ("Sp", P3), ("SO", P3)):
+        message = f"{family} at n=0 has no corank-one subgroup; give r"
+        for call in (homogeneous_space_odd_basis, homogeneous_space_tor):
+            with pytest.raises(ValueError) as exc:
+                call(family, 0, None, p)
+            assert str(exc.value) == message
+        assert homogeneous_space_odd_basis(family, 0, 0, p) == []
+    with pytest.raises(TorsionPrimeError):
+        homogeneous_space_tor("SO", 0, None, P2)
+
+
 def test_parameter_validation():
     with pytest.raises(ValueError, match="out of range"):
         homogeneous_space_odd_basis("GL", 3, 4, P2)

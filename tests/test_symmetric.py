@@ -328,10 +328,33 @@ def test_packed_coefficients_fit_their_slots(monkeypatch):
         width = key[2]
         assert key == (p, i, exact_width(p, i, weight))
         bound = _coefficient_bound(p, i, weight)
-        for packed in [*sums.values(), *sums.power_sums.values()]:
+        for packed in sums.values():
             for digit in _balanced_digits(packed, width, i + 1):
                 assert abs(digit) <= bound < 2 ** (width - 2), (p, i, j)
     assert (len(keys), sides) == (136, {True, False})
+
+
+def test_power_sums_follow_newtons_identities():
+    # the roots z have e_1 = 1, e_p = sigma and no other e_k, so Newton's
+    # identities give P_1 = 1, P_k = P_(k-1) for 1 < k < p,
+    # P_p = P_(p-1) + (-1)^(p-1) p sigma and, for k > p,
+    # P_k = P_(k-1) + (-1)^(p-1) sigma P_(k-p): each one-part entry (k,) of
+    # the tables must decode to these, cut after sigma^i
+    for p in (3, 5, 7):
+        sign = (-1) ** (p - 1)
+        for i in range(7):
+            width = symmetric._slot_width(p, i, 40)
+            sums = symmetric._Sums(p, i, width)
+            power = {1: [1] + [0] * i}
+            for k in range(2, 41):
+                power[k] = power[k - 1][:]
+                if i and k == p:
+                    power[k][1] += sign * p
+                elif k > p:
+                    for m in range(i):
+                        power[k][m + 1] += sign * power[k - p][m]
+            for k in range(1, 41):
+                assert _balanced_digits(sums[k,], width, i + 1) == power[k], (p, i, k)
 
 
 def test_too_narrow_slots_give_a_wrong_seed(monkeypatch):
