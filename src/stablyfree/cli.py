@@ -130,6 +130,8 @@ def cmd_steenrod(args) -> int:
     p = _prime(args.p)
     if (args.class_name is None) == (args.poly is None):
         raise CliError("give exactly one of --class (with --group) or --poly")
+    if args.poly is not None and args.group is not None:
+        raise CliError("--group goes with --class, not with --poly")
     if args.class_name is not None:
         if args.group is None:
             raise CliError("--class needs --group FAMILY:SIZE")

@@ -24,9 +24,13 @@ where they enter a call (its argument, the seeds) and unpacked where they
 leave it (its result, the sides of an identity when read).
 
 A verification harness checks the two engines against the defining
-axioms.  For the Adem relations it computes every P^a(P^b(x)) an identity
-reads in one pass over the terms of P^b(x), per b; at p = 2 every residue
-is 1, so its sums keep the monomials met an odd number of times.
+axioms.  For the Adem relations it builds one plan per weight of test
+class (the pairs (a, b), their Adem sums and the composites those read),
+and computes every P^a(P^b(x)) a plan reads in one pass over the terms of
+P^b(x), per b.  An Adem side that is empty, or one composite with
+coefficient 1, is compared as it is; only the other sides are summed.  At
+p = 2 every residue is 1, so its sums keep the monomials met an odd number
+of times.
 """
 
 from __future__ import annotations
@@ -203,9 +207,15 @@ def _apply_raw(table: _Table, ops, terms: dict[int, int]) -> dict[int, dict[int,
     return {i: _combine(table.p, part) for i, part in parts.items()}
 
 
-def _combine(p: int, parts) -> dict:
+def _combine(p: int, parts: list) -> dict:
     """Sum of coeff * terms over the (coeff, terms) pairs of `parts`, as a
     new {monomial: residue mod p} without zero residues."""
+    if len(parts) < 2:  # no sum to build: nothing, or one part as it is
+        if not parts:
+            return {}
+        (coeff, terms), = parts
+        if coeff == 1:
+            return dict(terms)
     if p == 2:  # every coeff and residue is 1: keep what an odd number hold
         odd = set()
         for _, terms in parts:
@@ -358,14 +368,15 @@ _POOL_SEED = 7
 def _test_classes(p: Prime, degree_bound: int,
                   n_generators: int) -> list[tuple[str, Element]]:
     """Deterministic pool: every generator, plus a few random products and
-    random homogeneous sums per weight."""
+    random homogeneous sums per weight.  No c_j above the bound enters it,
+    so its algebra has at most `degree_bound` generators (one at bound 0),
+    however many are asked for."""
     import random  # here, so that importing the package does not load it
     rng = random.Random(_POOL_SEED)
-    alg = polynomial_algebra(p, n_generators)
-    pool: list[tuple[str, Element]] = []
-    for j in range(1, n_generators + 1):
-        if j <= degree_bound:
-            pool.append((f"c{j}", alg.gen(f"c{j}")))
+    size = min(n_generators, degree_bound)
+    alg = polynomial_algebra(p, max(1, size))
+    pool: list[tuple[str, Element]] = [(f"c{j}", alg.gen(f"c{j}"))
+                                       for j in range(1, size + 1)]
     max_w = min(degree_bound, 8)
     for w in range(2, max_w + 1):
         for _ in range(2):
@@ -463,29 +474,64 @@ def _check_axiom(checks: list[AxiomCheck], axiom: str, p: Prime, degree_bound: i
                 n += 1
 
     elif axiom == "adem":
-        # (a, b) -> the (coeff, t) of the nonzero terms coeff * P^(a+b-t) P^t
-        # of the Adem sum for P^a P^b, which depend on (a, b) only
-        adem: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        adem: dict[tuple[int, int], list] = {}  # (a, b) -> _adem_terms(p, a, b)
+        plans: dict[int, tuple] = {}  # top -> _adem_plan(p, top, adem)
+        make, append = AxiomCheck._make, checks.append
         for name, x in pool:
-            # the pairs with w + (a + b)(p - 1) <= bound, and a < pb
             top = (degree_bound - bidegree_of(x).weight) // (pv - 1)
-            pairs = [(a, b) for b in range(1, top + 1)
-                     for a in range(min(pv * b, top - b + 1))]
-            wanted: dict[int, set[int]] = {}  # b -> the a of each P^a(P^b(x)) read
-            for a, b in pairs:
-                if (a, b) not in adem:
-                    adem[a, b] = []
-                    for t in range(a // pv + 1):
-                        c = binom_mod_p((pv - 1) * (b - t) - 1, a - pv * t, p)
-                        coeff = -c % pv if (a + t) % 2 else c
-                        if coeff:
-                            adem[a, b].append((coeff, t))
-                wanted.setdefault(b, set()).add(a)
-                for _, t in adem[a, b]:
-                    wanted.setdefault(t, set()).add(a + b - t)
+            plan = plans.get(top)
+            if plan is None:
+                plan = plans[top] = _adem_plan(p, top, adem)
+            identities, ops, wanted = plan
             # one pass over the terms of x, then one over those of each P^b(x)
-            powers = _apply_raw(table, sorted(wanted), packed(x))
-            rows = {b: _apply_raw(table, sorted(ops), powers[b]) for b, ops in wanted.items()}
-            for a, b in pairs:
-                rhs = _combine(pv, [(coeff, rows[t][a + b - t]) for coeff, t in adem[a, b]])
-                record(f"P^{a}P^{b}({name}) = Adem sum", rows[b][a], rhs)
+            powers = _apply_raw(table, ops, packed(x))
+            rows = {b: _apply_raw(table, a_ops, powers[b]) for b, a_ops in wanted.items()}
+            for head, a, b, terms in identities:
+                lhs = rows[b][a]
+                if len(terms) == 1 and terms[0][0] == 1:  # one composite, as it is
+                    rhs = rows[terms[0][1]][terms[0][2]]
+                else:  # no terms: _combine gives {}
+                    rhs = _combine(pv, [(coeff, rows[t][s]) for coeff, t, s in terms])
+                passed = lhs == rhs
+                # a failing check keeps a right side of its own, shared with no
+                # other check: rhs may be a row
+                append(make((f"{head}({name}) = Adem sum", pv, passed, width, lhs,
+                             lhs if passed else dict(rhs))))
+
+
+def _adem_terms(p: Prime, a: int, b: int) -> list[tuple[int, int]]:
+    """The (coeff, t) of the nonzero terms coeff * P^(a+b-t) P^t of the Adem
+    relation P^a P^b = sum_t (-1)^(a+t) C((p-1)(b-t)-1, a-pt) P^(a+b-t) P^t,
+    for 0 <= a < pb, with each coeff a residue mod p."""
+    pv = p.value
+    terms = []
+    for t in range(a // pv + 1):
+        c = binom_mod_p((pv - 1) * (b - t) - 1, a - pv * t, p)
+        if c:
+            terms.append((-c % pv if (a + t) % 2 else c, t))
+    return terms
+
+
+def _adem_plan(p: Prime, top: int, adem: dict[tuple[int, int], list]) -> tuple:
+    """The Adem identities of every class x whose weight leaves room for
+    P^a P^b with a + b <= top, which depend on `top` alone: (identities,
+    ops, wanted).  `identities` holds (head, a, b, terms) for each pair with
+    a < pb, in order of b then a, where head is "P^aP^b" and terms the
+    (coeff, t, a + b - t) of its Adem sum; `ops` are the ascending b of the
+    P^b(x) it reads, and `wanted` maps each b to the ascending a of the
+    P^a(P^b(x)) it reads.  `adem` caches _adem_terms for the running call."""
+    pv = p.value
+    identities = []
+    wanted: dict[int, set[int]] = {}
+    for b in range(1, top + 1):
+        for a in range(min(pv * b, top - b + 1)):
+            terms = adem.get((a, b))
+            if terms is None:
+                terms = adem[a, b] = _adem_terms(p, a, b)
+            identities.append((f"P^{a}P^{b}", a, b,
+                               tuple((coeff, t, a + b - t) for coeff, t in terms)))
+            wanted.setdefault(b, set()).add(a)
+            for _, t in terms:
+                wanted.setdefault(t, set()).add(a + b - t)
+    return identities, tuple(sorted(wanted)), {b: tuple(sorted(a_set))
+                                                for b, a_set in wanted.items()}

@@ -187,6 +187,14 @@ def test_steenrod_errors_exit_two():
         assert code == 2 and err, argv
 
 
+@pytest.mark.parametrize("group", ["GL:3", "bogus"])
+def test_steenrod_refuses_group_with_poly(group):
+    # a group model has no Chern classes to act on; it goes with --class
+    code, out, err = run_cli("steenrod", "-p", "2", "--poly", "c1", "--op", "1",
+                             "--group", group)
+    assert (code, out, err) == (2, "", "error: --group goes with --class, not with --poly\n")
+
+
 def test_steenrod_seed_cap_names_count_and_cap():
     code, out, err = run_cli("steenrod", "-p", "11", "--poly", "c7", "--op", "6")
     assert (code, out) == (2, "")

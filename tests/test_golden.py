@@ -15,8 +15,8 @@ well-formed calls were read from an option table without argparse; for
 the scan refusals, when the scan's caps came in; for the Chern grid in
 JSON, the verify sweep and the polynomial parser grid, before the parser
 read each term in one loop and the library alone checked an axiom's
-name).  A
-refactor that changes a rendered term, an ordering or a JSON payload
+name; for the verify sides grid, before the Adem harness built one plan
+per weight).  A refactor that changes a rendered term, an ordering or a JSON payload
 fails here; a deliberate output change must re-record the digest and say
 why.
 """
@@ -38,8 +38,8 @@ from stablyfree.obstruction import check_gl_quotient
 from stablyfree.steenrod import AXIOMS, verify_axiom
 
 
-def _axiom(axiom, p, bound):
-    report = verify_axiom(axiom, Prime(p), bound)
+def _axiom(axiom, p, bound, n_generators=5):
+    report = verify_axiom(axiom, Prime(p), bound, n_generators)
     return "\n".join(f"{c.description}|{c.lhs}|{c.rhs}|{c.passed}"
                      for c in report.checks)
 
@@ -271,6 +271,14 @@ def _verify_sweep():
                  ("verify", "--axiom", "bogus", "-p", "2", "--bound", "3"))
 
 
+def _verify_sides_grid():
+    """Both sides of every identity of every axiom at every bound up to
+    SWEEP_BOUNDS, with pools of 1, 3, 5 and 8 generators."""
+    return "\n".join(_axiom(axiom, p, bound, gens)
+                     for axiom in AXIOMS for p, top in SWEEP_BOUNDS.items()
+                     for bound in range(top + 1) for gens in (1, 3, 5, 8))
+
+
 # the pieces of a random --poly text: well-formed factors and operators,
 # and what the parser refuses (bad generators, parentheses)
 POLY_FACTORS = ("c1", "c2", "c10", "2", "0", "10")
@@ -375,6 +383,7 @@ CASES = {
     "steenrod chern grid": _chern_grid,
     "steenrod chern grid json": _chern_grid_json,
     "verify sweep": _verify_sweep,
+    "verify sides grid": _verify_sides_grid,
     "poly parser grid": _poly_grid,
 }
 for _p in (2, 3, 5):
@@ -503,6 +512,8 @@ DIGESTS = {
         'e39d058dd772d3a2539914a2bff0114bce8585ccd6488e592944d3418765141c',
     'verify sweep':
         '2242a9ceb3eeeab301f27338106e68d622fb7799315288b6df1c09f7d3aad761',
+    'verify sides grid':
+        'b647e67fb82bb6379c6476e1953883b136dc3c9c5edfaa625ec06500dad75d07',
     'poly parser grid':
         'e489520ec113263e6b9bc80fd19b07ed672a7ec00f89a82ba621164085ead21d',
     'verdict grid gl p=2':

@@ -611,3 +611,78 @@ def test_group_algebra_is_cached():
 def test_verify_axiom_rejects_unknown():
     with pytest.raises(ValueError):
         verify_axiom("frobenius", P2, 5)
+
+
+def test_verify_builds_no_generator_above_the_bound(monkeypatch):
+    # the pool holds no c_j above the bound, so a pool of a million
+    # generators asks for no more of them than the bound allows
+    sizes = []
+    true_algebra = steenrod.polynomial_algebra
+
+    def spy(p, n):
+        sizes.append(n)
+        return true_algebra(p, n)
+
+    monkeypatch.setattr(steenrod, "polynomial_algebra", spy)
+    for axiom in steenrod.AXIOMS:
+        for p, bound in ((P2, 3), (P3, 6), (P5, 9)):
+            sizes.clear()
+            report = verify_axiom(axiom, p, bound, n_generators=10**6)
+            assert sizes and max(sizes) <= bound, (axiom, p, bound)
+            assert report == verify_axiom(axiom, p, bound, n_generators=bound)
+
+
+def _adem_shape(check):
+    """'empty', 'single' (one term, coefficient 1) or 'other': the shape of
+    the Adem sum of a check, from its description and binom_mod_p."""
+    head = check.description.split("(", 1)[0]  # "P^aP^b"
+    a, b = map(int, head[2:].split("P^"))
+    p = check.p
+    coeffs = [binom_mod_p((p - 1) * (b - t) - 1, a - p * t, Prime(p)) * (-1) ** (a + t) % p
+              for t in range(a // p + 1)]
+    terms = [c for c in coeffs if c]
+    return "empty" if not terms else "single" if terms == [1] else "other"
+
+
+def _assert_sides_are_not_shared(report):
+    # a passing check keeps one side; no other check holds either side
+    sides = []
+    for c in report.checks:
+        if c.passed:
+            assert c.packed_rhs is c.packed_lhs
+            sides.append(c.packed_lhs)
+        else:
+            sides += [c.packed_lhs, c.packed_rhs]
+    assert len({id(s) for s in sides}) == len(sides)
+
+
+def test_planted_seed_fails_adem_identities_of_each_shape(planted_seed):
+    # P^0(c2) = 2*c2 at p = 3: the Adem sums it spoils are single composites
+    # with coefficient 1 and sums of more terms
+    report = verify_axiom("adem", P3, 10)
+    shapes = [_adem_shape(c) for c in report.failures()]
+    assert len(report.checks) == 120
+    assert {s: shapes.count(s) for s in set(shapes)} == {"single": 8, "other": 4}
+    _assert_sides_are_not_shared(report)
+
+
+def test_planted_wu_seed_fails_adem_identities_of_each_shape(monkeypatch):
+    # P^1(c2) = c3 at p = 2, without Wu's c1*c2: it spoils empty Adem sums,
+    # single composites with coefficient 1 and sums of more terms
+    true_seed = steenrod.reduced_power_on_elementary
+
+    def planted(p, i, j, *, tables=None):
+        if (p, i, j) == (2, 1, 2):
+            return {(0, 0, 1): 1}
+        return true_seed(p, i, j, tables=tables)
+
+    monkeypatch.setattr(steenrod, "reduced_power_on_elementary", planted)
+    report = verify_axiom("adem", P2, 10)
+    shapes = [_adem_shape(c) for c in report.failures()]
+    assert len(report.checks) == 346
+    assert {s: shapes.count(s) for s in set(shapes)} == {"empty": 23, "single": 29,
+                                                         "other": 2}
+    _assert_sides_are_not_shared(report)
+    # from bound 14 on, two failing identities of one class have the same
+    # single composite for their right side
+    _assert_sides_are_not_shared(verify_axiom("adem", P2, 14))
