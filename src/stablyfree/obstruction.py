@@ -69,12 +69,12 @@ class SectionQuery(_SectionQuery):
         return 0, self.n - 1
 
     def describe(self) -> str:
-        if self.family == "GL":
-            return (f"GL_{self.n}/GL_{self.a} -> GL_{self.n}/GL_{self.b} "
-                    f"at p={self.p}")
-        if self.family == "Sp":
-            return f"Sp_{2*self.n} -> Sp_{2*self.n}/Sp_{2*self.n-2} at p={self.p}"
-        return f"SO_{2*self.n+1} -> SO_{2*self.n+1}/SO_{2*self.n-1} at p={self.p}"
+        """G/H(s) -> G/H(t) for GL, G -> G/H(t) for Sp and SO, where H(r)
+        is the rank-r subgroup of the ranks (s, t)."""
+        group = self.model.describe()
+        source, target = (f"{group}/{self.model._replace(n=r).describe()}"
+                          for r in self.ranks)
+        return f"{source if self.family == 'GL' else group} -> {target} at p={self.p}"
 
 
 class _Witness(NamedTuple):
@@ -145,14 +145,24 @@ def _is_extrapolated(query: SectionQuery) -> bool:
     return query.b != query.n - 1 and query.a != query.b
 
 
+# the most pairs (m, i) that one witness scan, or one divisibility scan in
+# all, may try: they are (b - a)(n - b) for GL_n/GL_a -> GL_n/GL_b at p = 2,
+# and (q - 1)(n_max - q + 1) for a scan
+MAX_WITNESS_PAIRS = 10 ** 7
+
+
 def _witness_scan(query: SectionQuery) -> ObstructionReport:
     """The witness rule of every combinatorial check: P^i(a_m) =
     C(m-1, i) * a_{m+i(p-1)} for a generator m the map loses, i >= 1 and
     m + i(p-1) a surviving generator, kept when the residue is nonzero.
-    Ordered by source, then by operation."""
+    Ordered by source, then by operation.  A query of more than
+    MAX_WITNESS_PAIRS pairs (m, i) to try is refused before any work."""
     s, t = query.ranks
     indices = query.model.generator_indices()
     survivors = indices[t:]
+    if (pairs := (t - s) * len(survivors)) > MAX_WITNESS_PAIRS:
+        raise ValueError(f"{query.describe()}: {pairs} pairs (m, i) to try is past "
+                         f"the largest number allowed, {MAX_WITNESS_PAIRS}")
     step = query.p.value - 1
     witnesses = []
     for m in indices[s:t]:
@@ -257,8 +267,9 @@ MAX_SCAN_N = 1_000_000
 def divisibility_scan(q: int, p: Prime, n_max: int) -> DivisibilityScan:
     """Check, for q <= n <= n_max, whether the witness scan for
     GL_n/GL_{n-q} -> GL_n/GL_{n-1} leaves exactly the multiples of
-    p^(1 + n(p, q)) unobstructed.  A q past MAX_SCAN_Q or an n_max past
-    MAX_SCAN_N is refused before any work."""
+    p^(1 + n(p, q)) unobstructed.  A q past MAX_SCAN_Q, an n_max past
+    MAX_SCAN_N or more than MAX_WITNESS_PAIRS pairs (m, i) to try in all is
+    refused before any work."""
     if q < 1:
         raise ValueError("q must be at least 1")
     if q > MAX_SCAN_Q:
@@ -267,6 +278,9 @@ def divisibility_scan(q: int, p: Prime, n_max: int) -> DivisibilityScan:
         raise ValueError("n_max must be at least q")
     if n_max > MAX_SCAN_N:
         raise ValueError(f"n_max = {n_max} is past the largest n allowed, {MAX_SCAN_N}")
+    if (pairs := (q - 1) * (n_max - q + 1)) > MAX_WITNESS_PAIRS:
+        raise ValueError(f"q = {q}, n_max = {n_max}: {pairs} pairs (m, i) to try is past "
+                         f"the largest number allowed, {MAX_WITNESS_PAIRS}")
     divisor = p.value ** (1 + exponent_n(p, q))
     rows = []
     match = True

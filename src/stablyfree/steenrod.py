@@ -24,18 +24,20 @@ where they enter a call (its argument, the seeds) and unpacked where they
 leave it (its result, the sides of an identity when read).
 
 A verification harness checks the two engines against the defining
-axioms.  For the Adem relations it builds one plan per weight of test
-class (the pairs (a, b), their Adem sums and the composites those read),
-and computes every P^a(P^b(x)) a plan reads in one pass over the terms of
-P^b(x), per b.  An Adem side that is empty, or one composite with
-coefficient 1, is compared as it is; only the other sides are summed.  At
-p = 2 every residue is 1, so its sums keep the monomials met an odd number
-of times.
+axioms, in one pass per class of its test pool: each class x reads every
+P^i(x) it needs from one pass over its terms.  For the Adem relations one
+plan per call lists the pairs (a, b), their Adem sums and the composites
+those read, for the largest top the pool reaches; each class takes the
+pairs with a + b within its own top, and computes every P^a(P^b(x)) they
+read in one pass over the terms of P^b(x), per b.  An Adem side that is
+empty, or one composite with coefficient 1, is compared as it is; only the
+other sides are summed.  At p = 2 every residue is 1, so its sums keep the
+monomials met an odd number of times.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from operator import mul
 from typing import NamedTuple
@@ -192,6 +194,8 @@ def _apply_raw(table: _Table, ops, terms: dict[int, int]) -> dict[int, dict[int,
     its terms: {i: a new {key: residue mod p}}.  Instability drops the terms
     of weight below i.  The images stay in the table's records, for later
     passes of the same call to share."""
+    if not ops:  # nothing to compute, and no record to make
+        return {}
     records, width = table.records, table.width
     parts = {i: [] for i in ops}  # i -> the (coeff, P^i(term)) to sum
     for key, coeff in terms.items():
@@ -422,81 +426,60 @@ def _check_axiom(checks: list[AxiomCheck], axiom: str, p: Prime, degree_bound: i
     """Append to `checks` every identity of the axiom on the pool, computed
     through the table."""
     pv, width = p.value, table.width
+    make, append = AxiomCheck._make, checks.append
 
     def packed(x: Element) -> dict[int, int]:
         return {_pack(width, e): c for e, c in x.terms.items()}
 
-    def power(i: int, terms: dict[int, int]) -> dict[int, int]:
-        return _apply_raw(table, (i,), terms)[i]
+    def top_of(x: Element) -> int:  # the largest i that keeps P^i(x) within the bound
+        return (degree_bound - bidegree_of(x).weight) // (pv - 1)
 
     def record(description: str, lhs: dict[int, int], rhs: dict[int, int]):
         passed = lhs == rhs
-        checks.append(AxiomCheck(description, pv, passed, width, lhs, lhs if passed else rhs))
+        # a failing check keeps a right side of its own, shared with no other
+        # check: rhs may be a row of the Adem harness
+        append(make((description, pv, passed, width, lhs, lhs if passed else dict(rhs))))
 
-    if axiom == "unit":
-        for name, x in pool:
-            terms = packed(x)
-            record(f"P^0({name}) = {name}", power(0, terms), terms)
-
-    elif axiom == "pth_power":
-        for name, x in pool:
-            w = bidegree_of(x).weight
-            if w * pv <= degree_bound:
-                record(f"P^{w}({name}) = ({name})^{pv}", power(w, packed(x)),
-                       packed(x ** pv))
-
-    elif axiom == "instability":
-        for name, x in pool:
-            w = bidegree_of(x).weight
-            n = w + 1
-            terms = packed(x)
-            while w + n * (pv - 1) <= degree_bound:
-                record(f"P^{n}({name}) = 0 (weight {w} < {n})", power(n, terms), {})
-                n += 1
-
-    elif axiom == "cartan":
+    if axiom == "cartan":
         import random
         rng = random.Random(_POOL_SEED + 1)
         # bound 0 leaves the pool empty, and so no pairs to draw
         pairs = [(*rng.choice(pool), *rng.choice(pool)) for _ in range(12 if pool else 0)]
         for name_x, x, name_y, y in pairs:
-            xy = x * y
-            if xy.is_zero():
-                continue
-            w = bidegree_of(xy).weight
-            n = 0
-            terms = packed(xy)
-            while w + n * (pv - 1) <= degree_bound:
+            xy = x * y  # nonzero: F_p[c] has no zero divisors
+            for n, lhs in _apply_raw(table, range(top_of(xy) + 1), packed(xy)).items():
                 parts = [_power_element(j, x, p, table) * _power_element(n - j, y, p, table)
                          for j in range(n + 1)]
-                record(f"P^{n}(({name_x})*({name_y})) = sum of products",
-                       power(n, terms), packed(sum(parts[1:], parts[0])))
-                n += 1
+                record(f"P^{n}(({name_x})*({name_y})) = sum of products", lhs,
+                       packed(sum(parts[1:], parts[0])))
+        return
 
-    elif axiom == "adem":
-        adem: dict[tuple[int, int], list] = {}  # (a, b) -> _adem_terms(p, a, b)
-        plans: dict[int, tuple] = {}  # top -> _adem_plan(p, top, adem)
-        make, append = AxiomCheck._make, checks.append
-        for name, x in pool:
-            top = (degree_bound - bidegree_of(x).weight) // (pv - 1)
-            plan = plans.get(top)
-            if plan is None:
-                plan = plans[top] = _adem_plan(p, top, adem)
-            identities, ops, wanted = plan
-            # one pass over the terms of x, then one over those of each P^b(x)
-            powers = _apply_raw(table, ops, packed(x))
+    if axiom == "adem":  # the lightest class has the largest top
+        identities, reads = _adem_plan(p, max((top_of(x) for _, x in pool), default=0))
+    for name, x in pool:
+        w, top, terms = bidegree_of(x).weight, top_of(x), packed(x)
+        if axiom == "unit":
+            record(f"P^0({name}) = {name}", _apply_raw(table, (0,), terms)[0], terms)
+        elif axiom == "pth_power":
+            if w <= top:  # w * p is within the bound
+                record(f"P^{w}({name}) = ({name})^{pv}", _apply_raw(table, (w,), terms)[w],
+                       packed(x ** pv))
+        elif axiom == "instability":
+            for n, lhs in _apply_raw(table, range(w + 1, top + 1), terms).items():
+                record(f"P^{n}({name}) = 0 (weight {w} < {n})", lhs, {})
+        else:  # adem: the composites of total at most top, from one pass
+            # over the terms of x, then one over those of each P^b(x)
+            wanted = {b: cut for b, a_ops in reads.items()
+                      if (cut := a_ops[:bisect_right(a_ops, top - b)])}
+            powers = _apply_raw(table, wanted, terms)
             rows = {b: _apply_raw(table, a_ops, powers[b]) for b, a_ops in wanted.items()}
-            for head, a, b, terms in identities:
-                lhs = rows[b][a]
-                if len(terms) == 1 and terms[0][0] == 1:  # one composite, as it is
-                    rhs = rows[terms[0][1]][terms[0][2]]
-                else:  # no terms: _combine gives {}
-                    rhs = _combine(pv, [(coeff, rows[t][s]) for coeff, t, s in terms])
-                passed = lhs == rhs
-                # a failing check keeps a right side of its own, shared with no
-                # other check: rhs may be a row
-                append(make((f"{head}({name}) = Adem sum", pv, passed, width, lhs,
-                             lhs if passed else dict(rhs))))
+            for b, row in enumerate(identities[:top], 1):
+                for head, a, adem_sum in row[:top - b + 1]:
+                    if len(adem_sum) == 1 and adem_sum[0][0] == 1:  # one composite, as it is
+                        rhs = rows[adem_sum[0][1]][adem_sum[0][2]]
+                    else:  # no terms: _combine gives {}
+                        rhs = _combine(pv, [(coeff, rows[t][s]) for coeff, t, s in adem_sum])
+                    record(f"{head}({name}) = Adem sum", rows[b][a], rhs)
 
 
 def _adem_terms(p: Prime, a: int, b: int) -> list[tuple[int, int]]:
@@ -512,26 +495,25 @@ def _adem_terms(p: Prime, a: int, b: int) -> list[tuple[int, int]]:
     return terms
 
 
-def _adem_plan(p: Prime, top: int, adem: dict[tuple[int, int], list]) -> tuple:
-    """The Adem identities of every class x whose weight leaves room for
-    P^a P^b with a + b <= top, which depend on `top` alone: (identities,
-    ops, wanted).  `identities` holds (head, a, b, terms) for each pair with
-    a < pb, in order of b then a, where head is "P^aP^b" and terms the
-    (coeff, t, a + b - t) of its Adem sum; `ops` are the ascending b of the
-    P^b(x) it reads, and `wanted` maps each b to the ascending a of the
-    P^a(P^b(x)) it reads.  `adem` caches _adem_terms for the running call."""
+def _adem_plan(p: Prime, top: int) -> tuple:
+    """The Adem identities P^a P^b with a < pb and a + b <= top, and the
+    composites they read: (identities, reads).  identities[b - 1] holds
+    (head, a, terms) for each a of that b, ascending, where head is "P^aP^b"
+    and terms the (coeff, t, a + b - t) of its Adem sum; `reads` maps each b
+    of a P^b(x) read, ascending, to the ascending a of the P^a(P^b(x)) read.
+    Every composite an identity reads has the identity's total a + b, so a
+    class of a smaller top takes the prefix of each row and of each a it
+    reaches, and reads exactly what its own identities read."""
     pv = p.value
     identities = []
-    wanted: dict[int, set[int]] = {}
+    reads: dict[int, set[int]] = {}
     for b in range(1, top + 1):
+        row = []
         for a in range(min(pv * b, top - b + 1)):
-            terms = adem.get((a, b))
-            if terms is None:
-                terms = adem[a, b] = _adem_terms(p, a, b)
-            identities.append((f"P^{a}P^{b}", a, b,
-                               tuple((coeff, t, a + b - t) for coeff, t in terms)))
-            wanted.setdefault(b, set()).add(a)
-            for _, t in terms:
-                wanted.setdefault(t, set()).add(a + b - t)
-    return identities, tuple(sorted(wanted)), {b: tuple(sorted(a_set))
-                                                for b, a_set in wanted.items()}
+            terms = tuple((coeff, t, a + b - t) for coeff, t in _adem_terms(p, a, b))
+            row.append((f"P^{a}P^{b}", a, terms))
+            reads.setdefault(b, set()).add(a)
+            for _, t, s in terms:
+                reads.setdefault(t, set()).add(s)
+        identities.append(row)
+    return identities, {b: sorted(reads[b]) for b in sorted(reads)}

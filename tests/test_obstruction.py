@@ -1,3 +1,6 @@
+import io
+from contextlib import redirect_stderr, redirect_stdout
+
 import pytest
 
 from stablyfree.modp import Prime, binom_mod_p, raynaud_number
@@ -227,3 +230,35 @@ def test_scan_report_rendering():
     payload = scan.to_json()
     assert payload["combined_modulus"] == 2
     assert len(payload["rows"]) == 9
+
+
+def test_witness_scans_past_the_pair_cap_are_refused_before_any_work(monkeypatch):
+    # the cap is set small, so that no oversized scan runs: GL_7/GL_0 ->
+    # GL_7/GL_4 tries 4 * 3 pairs (m, i) at p = 2, and a scan of q = 4 up to
+    # n_max = 7 tries 3 * 4
+    from stablyfree import cli, obstruction
+
+    monkeypatch.setattr(obstruction, "MAX_WITNESS_PAIRS", 12)
+    assert check_gl_quotient(7, 0, 4, P2).obstructed
+    assert divisibility_scan(4, P2, 7).match
+    calls = []
+    monkeypatch.setattr(obstruction, "binom_mod_p", lambda *args: calls.append(args))
+    cases = [(("gl", "--n", "8", "--a", "0", "--b", "4"),
+              "GL_8/GL_0 -> GL_8/GL_4 at p=2: 16 pairs (m, i)"),
+             (("sp", "--n", "14"), "Sp_28 -> Sp_28/Sp_26 at p=2: 13 pairs (m, i)"),
+             (("scan", "--q", "4", "--n-max", "8"), "q = 4, n_max = 8: 15 pairs (m, i)"),
+             (("scan", "--q", "13", "--n-max", "14"), "q = 13, n_max = 14: 24 pairs (m, i)")]
+    for argv, head in cases:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(["obstruct", *argv, "-p", "2"])
+        assert (code, out.getvalue(), err.getvalue()) == (
+            2, "", f"error: {head} to try is past the largest number allowed, 12\n")
+    # the corank and n caps are checked first, with their own messages
+    monkeypatch.setattr(obstruction, "MAX_SCAN_Q", 12)
+    with pytest.raises(ValueError, match=r"^q = 13 is past the largest corank allowed, 12$"):
+        divisibility_scan(13, P2, 14)
+    monkeypatch.setattr(obstruction, "MAX_SCAN_N", 13)
+    with pytest.raises(ValueError, match=r"^n_max = 14 is past the largest n allowed, 13$"):
+        divisibility_scan(4, P2, 14)
+    assert not calls

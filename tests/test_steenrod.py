@@ -686,3 +686,44 @@ def test_planted_wu_seed_fails_adem_identities_of_each_shape(monkeypatch):
     # from bound 14 on, two failing identities of one class have the same
     # single composite for their right side
     _assert_sides_are_not_shared(verify_axiom("adem", P2, 14))
+
+
+# the work of each verify --axiom adem query of the adem-cold benchmark:
+# (p, bound) -> (records, images, image terms, seed calls, binom_mod_p calls)
+ADEM_COLD_WORK = {(2, 16): (213, 1125, 4277, 50, 195),
+                  (3, 15): (443, 914, 4716, 42, 30),
+                  (2, 18): (213, 1436, 7621, 52, 273)}
+
+
+@pytest.mark.parametrize("p, bound", sorted(ADEM_COLD_WORK))
+def test_adem_harness_work_is_pinned(p, bound, monkeypatch):
+    # the records of the call's table, the images they hold and the terms
+    # of those, the seeds asked for and the Adem coefficients computed; and
+    # one Adem plan for the call, whatever the weights of the pool
+    tables, calls = [], {"seeds": 0, "binom": 0, "plans": 0}
+    init, seed = steenrod._Table.__init__, steenrod.reduced_power_on_elementary
+    binom, plan = steenrod.binom_mod_p, steenrod._adem_plan
+
+    def table_init(self, *args):
+        init(self, *args)
+        tables.append(self)
+
+    def counted(name, f):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(steenrod._Table, "__init__", table_init)
+    monkeypatch.setattr(steenrod, "reduced_power_on_elementary", counted("seeds", seed))
+    monkeypatch.setattr(steenrod, "binom_mod_p", counted("binom", binom))
+    monkeypatch.setattr(steenrod, "_adem_plan", counted("plans", plan))
+    assert verify_axiom("adem", Prime(p), bound).passed
+    [table] = tables
+    images = [image for *_, imgs in table.records.values() for image in imgs.values()]
+    work = (len(table.records), len(images), sum(map(len, images)),
+            calls["seeds"], calls["binom"])
+    del table, images
+    tables.clear()
+    assert work == ADEM_COLD_WORK[p, bound]
+    assert calls["plans"] == 1
