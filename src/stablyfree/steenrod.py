@@ -17,9 +17,11 @@ action is the closed-form binomial rule.
 Inside one top-level call every monomial of the records, of their images
 and of the sums over them is one packed int: the exponent of c_k sits in
 slot k-1, little-endian, and every slot holds the largest weight the call
-can reach, in as many whole bytes as it needs.  No exponent exceeds the
-weight of its monomial, so no slot carries into the next, and the product
-of two monomials in a Cartan sum is one int addition.  Terms are packed
+can reach, in as many whole bytes as it needs, rounded up to 2, 4 or 8
+below 9.  No exponent exceeds the weight of its monomial, so no slot
+carries into the next, and the product of two monomials in a Cartan sum is
+one int addition.  At p = 2 every residue is 1, so a Cartan sum, like any
+other sum, keeps the monomials met an odd number of times.  Terms are packed
 where they enter a call (its argument, the seeds) and unpacked where they
 leave it (its result, the sides of an identity when read).
 
@@ -31,12 +33,15 @@ those read, for the largest top the pool reaches; each class takes the
 pairs with a + b within its own top, and computes every P^a(P^b(x)) they
 read in one pass over the terms of P^b(x), per b.  An Adem side that is
 empty, or one composite with coefficient 1, is compared as it is; only the
-other sides are summed.  At p = 2 every residue is 1, so its sums keep the
-monomials met an odd number of times.
+other sides are summed.  The harness hands each identity to a record step,
+its description still a format string and its arguments: `verify_axiom`
+keeps a check of every identity, and the CLI counts the identities that
+hold and builds checks only for those that fail.
 """
 
 from __future__ import annotations
 
+import struct
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from operator import mul
@@ -77,10 +82,17 @@ def _weight(exps: Exps) -> int:
     return sum(map(mul, exps, range(1, len(exps) + 1)))
 
 
-# the packed form of one monomial: slots of `width` whole bytes
+# the packed form of one monomial: slots of `width` whole bytes; slots of
+# 2, 4 and 8 bytes go through one struct call, little-endian
+_SLOT_CODES = {2: "H", 4: "I", 8: "Q"}
+
+
 def _pack(width: int, exps: Exps) -> int:
     if width == 1:
         return int.from_bytes(bytes(exps), "little")
+    code = _SLOT_CODES.get(width)
+    if code:
+        return int.from_bytes(struct.pack(f"<{len(exps)}{code}", *exps), "little")
     bits = 8 * width
     return sum(e << bits * k for k, e in enumerate(exps) if e)
 
@@ -89,13 +101,17 @@ def _unpack(width: int, key: int) -> Exps:
     data = key.to_bytes(-(-key.bit_length() // (8 * width)) * width, "little")
     if width == 1:
         return tuple(data)
+    code = _SLOT_CODES.get(width)
+    if code:
+        return struct.unpack(f"<{len(data) // width}{code}", data)
     return tuple(int.from_bytes(data[k:k + width], "little") for k in range(0, len(data), width))
 
 
 class _Table:
     """The image records at prime p of one top-level call that reaches no
     weight above `top`, with the `width` of the slots its monomials are
-    packed in: as many whole bytes as the top needs, and at least one.
+    packed in: as many whole bytes as the top needs, at least one, rounded
+    up to 2, 4 or 8 below 9.
 
     `records` is {key: (key, weight, halves, images)}, one record per
     monomial met, keyed by the packed monomial.  `halves` is j for a single
@@ -109,7 +125,8 @@ class _Table:
     __slots__ = ("p", "width", "records", "seeds")
 
     def __init__(self, p: int, top: int):
-        self.p, self.width = p, max(1, -(-top.bit_length() // 8))
+        width = max(1, -(-top.bit_length() // 8))
+        self.p, self.width = p, width if width > 8 else 1 << (width - 1).bit_length()
         self.records, self.seeds = {}, {}
 
 
@@ -121,16 +138,16 @@ def _record(table: _Table, key: int, exps: Exps) -> tuple:
     The first half u holds the first half of the factors, the other half v
     the rest.  u's key is cut from `key` by a mask and v's is the rest, and
     both exponent tuples are cut from `exps`, so a split packs and unpacks
-    nothing.  Halving keeps
-    the recursion about log2(factors) deep, and c_j^e splits into equal
-    halves that share one record."""
+    nothing, and its weight is the sum of theirs.  Halving keeps the
+    recursion about log2(factors) deep, and c_j^e splits into equal halves
+    that share one record."""
     records = table.records
     rec = records.get(key)
     if rec is None:
         factors = list(accumulate(exps)) or [0]  # factors[k]: how many are c_1 .. c_{k+1}
         n = factors[-1] // 2  # u is the first n factors
-        if not n:  # c_j is the first factor, or 1 has none
-            halves = bisect_left(factors, 1) + 1 if factors[-1] else 0
+        if not n:  # c_j is the first factor, or 1 has none: j is its weight
+            halves = weight = bisect_left(factors, 1) + 1 if factors[-1] else 0
         else:
             k = bisect_left(factors, n)  # the n-th factor is c_{k+1}
             e = n - (factors[k - 1] if k else 0)
@@ -138,7 +155,8 @@ def _record(table: _Table, key: int, exps: Exps) -> tuple:
             u = (key & ((1 << shift) - 1)) + (e << shift)
             halves = (_record(table, u, exps[:k] + (e,)),
                       _record(table, key - u, (0,) * k + (exps[k] - e,) + exps[k + 1:]))
-        rec = records[key] = (key, _weight(exps), halves, {})
+            weight = halves[0][1] + halves[1][1]
+        rec = records[key] = (key, weight, halves, {})
     return rec
 
 
@@ -150,7 +168,8 @@ def _image(table: _Table, rec: tuple, i: int) -> dict[int, int]:
     other monomial uv, split into the halves of its record, the Cartan
     formula P^i(uv) = sum_a P^a(u) P^{i-a}(v) runs over the a that
     instability leaves nonzero, asking each half only for the indices that
-    sum reaches.
+    sum reaches.  At p = 2 every residue is 1, so the sum keeps the products
+    met an odd number of times.
     """
     key, _, halves, images = rec
     p = table.p
@@ -161,7 +180,7 @@ def _image(table: _Table, rec: tuple, i: int) -> dict[int, int]:
         out = {key: 1}
     else:
         (u, w_u, _, u_images), (v, w_v, _, v_images) = left_rec, right_rec = halves
-        out = {}
+        out = set() if p == 2 else {}
         for a in range(max(0, i - w_v), min(i, w_u) + 1):
             # P^0 is the identity: the a = 0 and a = i terms recurse on one side only
             if a:
@@ -178,12 +197,18 @@ def _image(table: _Table, rec: tuple, i: int) -> dict[int, int]:
                     right = _image(table, right_rec, i - a)
             else:
                 right = {v: 1}
-            right = right.items()
-            for e1, c1 in left.items():
-                for e2, c2 in right:
-                    e = e1 + e2  # the product of the two monomials
-                    out[e] = out.get(e, 0) + c1 * c2
-        out = {e: r for e, c in out.items() if (r := c % p)}
+            # the product of two monomials is the sum of their keys
+            if p == 2:  # keep the products met an odd number of times
+                for e1 in left:
+                    out ^= {e1 + e2 for e2 in right}
+            else:
+                right = right.items()
+                for e1, c1 in left.items():
+                    for e2, c2 in right:
+                        e = e1 + e2
+                        out[e] = out.get(e, 0) + c1 * c2
+        out = (dict.fromkeys(out, 1) if p == 2
+               else {e: r for e, c in out.items() if (r := c % p)})
     images[i] = out
     return out
 
@@ -346,22 +371,34 @@ class AxiomReport(NamedTuple):
         return [c for c in self.checks if not c.passed]
 
     def summary(self) -> str:
-        status = "ok" if self.passed else "FAILED"
-        return (f"axiom={self.axiom} p={self.p} bound={self.degree_bound} "
-                f"identities={len(self.checks)} failures={len(self.failures())} {status}")
+        return _summary(self.axiom, self.p, self.degree_bound, len(self.checks),
+                        self.failures())
 
     def to_json(self) -> dict:
-        return {
-            "axiom": self.axiom,
-            "p": self.p,
-            "degree_bound": self.degree_bound,
-            "identities_checked": len(self.checks),
-            "failures": [
-                {"identity": c.description, "lhs": c.lhs, "rhs": c.rhs}
-                for c in self.failures()
-            ],
-            "passed": self.passed,
-        }
+        return _payload(self.axiom, self.p, self.degree_bound, len(self.checks),
+                        self.failures())
+
+
+# the summary line and the JSON payload of the identities of one axiom,
+# from their number and the failing checks, in order
+def _summary(axiom: str, p: int, degree_bound: int, identities: int,
+             failures: list[AxiomCheck]) -> str:
+    status = "FAILED" if failures else "ok"
+    return (f"axiom={axiom} p={p} bound={degree_bound} "
+            f"identities={identities} failures={len(failures)} {status}")
+
+
+def _payload(axiom: str, p: int, degree_bound: int, identities: int,
+             failures: list[AxiomCheck]) -> dict:
+    return {
+        "axiom": axiom,
+        "p": p,
+        "degree_bound": degree_bound,
+        "identities_checked": identities,
+        "failures": [{"identity": c.description, "lhs": c.lhs, "rhs": c.rhs}
+                     for c in failures],
+        "passed": not failures,
+    }
 
 
 # seeds the test pool: every identity `verify_axiom` checks, and so its
@@ -407,26 +444,37 @@ def verify_axiom(axiom: str, p: Prime, degree_bound: int,
                  n_generators: int = 5) -> AxiomReport:
     """Exhaustively check one defining property on a deterministic pool of
     test classes, keeping every evaluation within the weight bound."""
+    checks: list[AxiomCheck] = []
+    _check_axiom(lambda *identity: checks.append(_axiom_check(*identity)),
+                 axiom, p, degree_bound, n_generators)
+    return AxiomReport(axiom, p.value, degree_bound, tuple(checks))
+
+
+def _axiom_check(form: str, args: tuple, p: int, passed: bool, width: int,
+                 lhs: dict[int, int], rhs: dict[int, int]) -> AxiomCheck:
+    """The check of one identity that `_check_axiom` hands on, described by
+    form.format(*args).  A failing check keeps a right side of its own,
+    shared with no other check: rhs may be a row of the Adem harness."""
+    return AxiomCheck(form.format(*args), p, passed, width, lhs, lhs if passed else dict(rhs))
+
+
+def _check_axiom(keep, axiom: str, p: Prime, degree_bound: int, n_generators: int):
+    """Hand every identity of the axiom on the test pool of `n_generators`
+    to `keep`, in order, computed through one table: keep(form, args, p,
+    passed, width, lhs, rhs), where the identity is form.format(*args) and
+    the sides are packed in slots of `width` bytes.  A record step that
+    keeps the identity builds its check with `_axiom_check`; one that drops
+    it formats nothing."""
     if axiom not in AXIOMS:
         raise ValueError(f"unknown axiom {axiom!r}; choose from {', '.join(AXIOMS)}")
     if degree_bound < 0:
         raise ValueError("degree bound must be nonnegative")
     if n_generators < 1:
         raise ValueError("need at least one generator in the test pool")
-    checks: list[AxiomCheck] = []
     # every class of the pool, and every value the harness computes, has
     # weight at most the bound
-    _check_axiom(checks, axiom, p, degree_bound,
-                 _test_classes(p, degree_bound, n_generators), _Table(p.value, degree_bound))
-    return AxiomReport(axiom, p.value, degree_bound, tuple(checks))
-
-
-def _check_axiom(checks: list[AxiomCheck], axiom: str, p: Prime, degree_bound: int,
-                 pool: list[tuple[str, Element]], table: _Table):
-    """Append to `checks` every identity of the axiom on the pool, computed
-    through the table."""
+    pool, table = _test_classes(p, degree_bound, n_generators), _Table(p.value, degree_bound)
     pv, width = p.value, table.width
-    make, append = AxiomCheck._make, checks.append
 
     def packed(x: Element) -> dict[int, int]:
         return {_pack(width, e): c for e, c in x.terms.items()}
@@ -434,11 +482,8 @@ def _check_axiom(checks: list[AxiomCheck], axiom: str, p: Prime, degree_bound: i
     def top_of(x: Element) -> int:  # the largest i that keeps P^i(x) within the bound
         return (degree_bound - bidegree_of(x).weight) // (pv - 1)
 
-    def record(description: str, lhs: dict[int, int], rhs: dict[int, int]):
-        passed = lhs == rhs
-        # a failing check keeps a right side of its own, shared with no other
-        # check: rhs may be a row of the Adem harness
-        append(make((description, pv, passed, width, lhs, lhs if passed else dict(rhs))))
+    def record(form: str, args: tuple, lhs: dict[int, int], rhs: dict[int, int]):
+        keep(form, args, pv, lhs == rhs, width, lhs, rhs)
 
     if axiom == "cartan":
         import random
@@ -450,7 +495,7 @@ def _check_axiom(checks: list[AxiomCheck], axiom: str, p: Prime, degree_bound: i
             for n, lhs in _apply_raw(table, range(top_of(xy) + 1), packed(xy)).items():
                 parts = [_power_element(j, x, p, table) * _power_element(n - j, y, p, table)
                          for j in range(n + 1)]
-                record(f"P^{n}(({name_x})*({name_y})) = sum of products", lhs,
+                record("P^{}(({})*({})) = sum of products", (n, name_x, name_y), lhs,
                        packed(sum(parts[1:], parts[0])))
         return
 
@@ -459,14 +504,14 @@ def _check_axiom(checks: list[AxiomCheck], axiom: str, p: Prime, degree_bound: i
     for name, x in pool:
         w, top, terms = bidegree_of(x).weight, top_of(x), packed(x)
         if axiom == "unit":
-            record(f"P^0({name}) = {name}", _apply_raw(table, (0,), terms)[0], terms)
+            record("P^0({}) = {}", (name, name), _apply_raw(table, (0,), terms)[0], terms)
         elif axiom == "pth_power":
             if w <= top:  # w * p is within the bound
-                record(f"P^{w}({name}) = ({name})^{pv}", _apply_raw(table, (w,), terms)[w],
-                       packed(x ** pv))
+                record("P^{}({}) = ({})^{}", (w, name, name, pv),
+                       _apply_raw(table, (w,), terms)[w], packed(x ** pv))
         elif axiom == "instability":
             for n, lhs in _apply_raw(table, range(w + 1, top + 1), terms).items():
-                record(f"P^{n}({name}) = 0 (weight {w} < {n})", lhs, {})
+                record("P^{}({}) = 0 (weight {} < {})", (n, name, w, n), lhs, {})
         else:  # adem: the composites of total at most top, from one pass
             # over the terms of x, then one over those of each P^b(x)
             wanted = {b: cut for b, a_ops in reads.items()
@@ -474,12 +519,12 @@ def _check_axiom(checks: list[AxiomCheck], axiom: str, p: Prime, degree_bound: i
             powers = _apply_raw(table, wanted, terms)
             rows = {b: _apply_raw(table, a_ops, powers[b]) for b, a_ops in wanted.items()}
             for b, row in enumerate(identities[:top], 1):
-                for head, a, adem_sum in row[:top - b + 1]:
+                for a, adem_sum in row[:top - b + 1]:
                     if len(adem_sum) == 1 and adem_sum[0][0] == 1:  # one composite, as it is
                         rhs = rows[adem_sum[0][1]][adem_sum[0][2]]
                     else:  # no terms: _combine gives {}
                         rhs = _combine(pv, [(coeff, rows[t][s]) for coeff, t, s in adem_sum])
-                    record(f"{head}({name}) = Adem sum", rows[b][a], rhs)
+                    record("P^{}P^{}({}) = Adem sum", (a, b, name), rows[b][a], rhs)
 
 
 def _adem_terms(p: Prime, a: int, b: int) -> list[tuple[int, int]]:
@@ -498,8 +543,8 @@ def _adem_terms(p: Prime, a: int, b: int) -> list[tuple[int, int]]:
 def _adem_plan(p: Prime, top: int) -> tuple:
     """The Adem identities P^a P^b with a < pb and a + b <= top, and the
     composites they read: (identities, reads).  identities[b - 1] holds
-    (head, a, terms) for each a of that b, ascending, where head is "P^aP^b"
-    and terms the (coeff, t, a + b - t) of its Adem sum; `reads` maps each b
+    (a, terms) for each a of that b, ascending, where terms are the
+    (coeff, t, a + b - t) of its Adem sum; `reads` maps each b
     of a P^b(x) read, ascending, to the ascending a of the P^a(P^b(x)) read.
     Every composite an identity reads has the identity's total a + b, so a
     class of a smaller top takes the prefix of each row and of each a it
@@ -511,7 +556,7 @@ def _adem_plan(p: Prime, top: int) -> tuple:
         row = []
         for a in range(min(pv * b, top - b + 1)):
             terms = tuple((coeff, t, a + b - t) for coeff, t in _adem_terms(p, a, b))
-            row.append((f"P^{a}P^{b}", a, terms))
+            row.append((a, terms))
             reads.setdefault(b, set()).add(a)
             for _, t, s in terms:
                 reads.setdefault(t, set()).add(s)

@@ -2,7 +2,7 @@ import io
 import json
 import subprocess
 import sys
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -13,6 +13,7 @@ from stablyfree import cli, steenrod
 from stablyfree.cli import build_parser, main, parse_polynomial
 from stablyfree.algebra import polynomial_algebra
 from stablyfree.modp import Prime
+from stablyfree.steenrod import verify_axiom
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -227,6 +228,29 @@ def test_steenrod_json():
         {"coefficient": 1, "even": [], "odd": ["a4"]}]
 
 
+def test_steenrod_poly_renders_its_input_only_for_json(monkeypatch):
+    # text mode prints the result alone, so it renders nothing else
+    from stablyfree.algebra import Element
+
+    rendered = []
+    true_render = Element.render
+
+    def render(self):
+        rendered.append(true_render(self))
+        return rendered[-1]
+
+    monkeypatch.setattr(Element, "render", render)
+    argv = ("steenrod", "-p", "2", "--poly", "c1^2*c2 + c4", "--op", "2")
+    code, out, err = run_cli(*argv)
+    assert (code, err) == (0, "") and rendered == [out.rstrip("\n")]
+    rendered.clear()
+    code, out, err = run_cli(*argv, "--json")
+    payload = json.loads(out)
+    assert (code, err) == (0, "")
+    assert rendered == [payload["input"], payload["result"]]
+    assert payload["input"] == "c1^2*c2 + c4"
+
+
 # -- tor ----------------------------------------------------------------------
 
 def test_tor_gl_summary():
@@ -385,6 +409,77 @@ def test_verify_reports_failures(planted_seed, axiom, known):
     payload = json.loads(out)
     assert payload["passed"] is False
     assert [(f["identity"], f["lhs"], f["rhs"]) for f in payload["failures"]] == text
+
+
+@contextmanager
+def _spy_on_checks():
+    """The descriptions of the AxiomCheck values steenrod builds in the
+    block, however it builds them."""
+    built = []
+
+    class Spy(steenrod.AxiomCheck):
+        __slots__ = ()
+
+        def __new__(cls, *fields):
+            built.append(fields[0])
+            return super().__new__(cls, *fields)
+
+        @classmethod
+        def _make(cls, fields):
+            fields = tuple(fields)
+            built.append(fields[0])
+            return super()._make(fields)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(steenrod, "AxiomCheck", Spy)
+        yield built
+
+
+def _verify_output(report, json_format: bool) -> str:
+    """What verify prints for the full report of verify_axiom."""
+    if json_format:
+        return json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n"
+    lines = [report.summary()]
+    for c in report.failures():
+        lines += [f"FAIL {c.description}", f"  lhs = {c.lhs}", f"  rhs = {c.rhs}"]
+    return "\n".join(lines) + "\n"
+
+
+def _verify_runs():
+    """(checks built, report, argv, output) of verify at p = 2 and 3, bound
+    10, for every axiom, in text and JSON, with the checks of the CLI runs
+    alone counted."""
+    runs = []
+    for axiom in cli.AXIOMS:
+        for p in (2, 3):
+            report = verify_axiom(axiom, Prime(p), 10)
+            assert report.checks
+            for fmt in ((), ("--json",)):
+                argv = ("verify", "--axiom", axiom, "-p", str(p), "--bound", "10", *fmt)
+                with _spy_on_checks() as built:
+                    result = run_cli(*argv)
+                runs.append((built, report, argv, result))
+    return runs
+
+
+def test_verify_keeps_no_passing_check():
+    # the CLI counts the identities that hold and builds a check for none
+    for built, report, argv, result in _verify_runs():
+        assert report.passed
+        assert built == [], argv
+        assert result == (0, _verify_output(report, "--json" in argv), ""), argv
+
+
+def test_verify_builds_exactly_the_failing_checks(planted_seed):
+    # with a wrong seed at p = 3, the CLI builds one check per failing
+    # identity, in order, and prints what the full report renders
+    failed = 0
+    for built, report, argv, result in _verify_runs():
+        assert built == [c.description for c in report.failures()], argv
+        assert result == (int(not report.passed), _verify_output(report, "--json" in argv),
+                          ""), argv
+        failed += len(built)
+    assert failed
 
 
 @pytest.mark.parametrize("extra, message", [

@@ -438,11 +438,11 @@ def test_powers_of_c1_across_the_slot_widths(p):
 
 
 def test_packed_monomials_add_slot_by_slot():
-    # slots are as many whole bytes as the top weight needs; packing drops
-    # trailing zero exponents, and the sum of two packed monomials is their
-    # product while no exponent passes the top
+    # slots are as many whole bytes as the top weight needs, rounded up to 2,
+    # 4 or 8 below 9; packing drops trailing zero exponents, and the sum of
+    # two packed monomials is their product while no exponent passes the top
     widths = [steenrod._Table(2, top).width for top in SLOT_TOPS]
-    assert widths == [1, 2, 2, 3, 4, 5, 5, 8, 9, 9]
+    assert widths == [1, 2, 2, 4, 4, 8, 8, 8, 9, 9]
     rng = random.Random(8)
     for top in (0, 1) + SLOT_TOPS:
         width = steenrod._Table(3, top).width
@@ -460,9 +460,10 @@ def test_packed_monomials_add_slot_by_slot():
 
 
 def test_bytes_codec_agrees_with_shifts():
-    # width 1 packs through bytes and unpacks through tuple, any other width
-    # sums shifts and slices; an exponent below 256 in a slot of w bytes is
-    # that exponent followed by w - 1 zero bytes, so the two lines must agree
+    # width 1 packs through bytes and unpacks through tuple, widths 2, 4 and
+    # 8 through one struct call, any other width sums shifts and slices; an
+    # exponent below 256 in a slot of w bytes is that exponent followed by
+    # w - 1 zero bytes, so the codecs must agree
     rng = random.Random(9)
     cases = [()]
     for _ in range(20000):
@@ -471,7 +472,7 @@ def test_bytes_codec_agrees_with_shifts():
         cases.append(tuple(exps))
     for exps in cases:
         assert steenrod._unpack(1, steenrod._pack(1, exps)) == exps
-        for width in (2, 3):
+        for width in (2, 3, 4, 8, 9):
             spread = tuple(b for e in exps for b in (e,) + (0,) * (width - 1))
             key = steenrod._pack(width, exps)
             assert key == steenrod._pack(1, spread), (width, exps)
