@@ -12,10 +12,17 @@ presentation, with no trailing zeros; for `polynomial_algebra`, entry k - 1
 is the exponent of c_k.  An odd generator's entry is 0 or 1, and at most one
 odd entry is nonzero.  Positions only mean something relative to a
 presentation, which owns the names, the ordering and the parities.
+
+The Chern path also keeps a monomial of c_1, c_2, ... packed into one int,
+in slots of `width` whole bytes: the exponent of c_k sits in slot k - 1,
+little-endian, so while no exponent outgrows its slot the product of two
+monomials is the sum of their keys.  `pack_exps`, `unpack_exps` and
+`pack_power` own that layout.
 """
 
 from __future__ import annotations
 
+import struct
 from functools import lru_cache
 from operator import add
 from typing import Iterable, Iterator, NamedTuple
@@ -87,6 +94,39 @@ def add_exps(a: Exps, b: Exps) -> Exps:
     if len(a) < len(b):
         a, b = b, a
     return tuple(map(add, a, b)) + a[len(b):]
+
+
+# slots of 2, 4 and 8 bytes go through one struct call, little-endian
+_SLOT_CODES = {2: "H", 4: "I", 8: "Q"}
+
+
+def pack_exps(width: int, exps: Exps) -> int:
+    """The packed key of a monomial, in slots of `width` bytes (trailing
+    zeros allowed)."""
+    if width == 1:
+        return int.from_bytes(bytes(exps), "little")
+    code = _SLOT_CODES.get(width)
+    if code:
+        return int.from_bytes(struct.pack(f"<{len(exps)}{code}", *exps), "little")
+    return sum(pack_power(width, k, e) for k, e in enumerate(exps, 1) if e)
+
+
+def unpack_exps(width: int, key: int) -> Exps:
+    """The exponent tuple of a packed key, without trailing zeros."""
+    data = key.to_bytes(-(-key.bit_length() // (8 * width)) * width, "little")
+    if width == 1:
+        return tuple(data)
+    code = _SLOT_CODES.get(width)
+    if code:
+        return struct.unpack(f"<{len(data) // width}{code}", data)
+    return tuple(int.from_bytes(data[k:k + width], "little") for k in range(0, len(data), width))
+
+
+def pack_power(width: int, k: int, e: int = 1) -> int:
+    """The packed key of c_k^e, in slots of `width` bytes: e in slot k - 1.
+    The keys below pack_power(width, k) are those of the monomials in
+    c_1 .. c_(k-1)."""
+    return e << 8 * width * (k - 1)
 
 
 class AlgebraPresentation:

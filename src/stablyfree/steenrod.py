@@ -21,9 +21,11 @@ can reach, in as many whole bytes as it needs, rounded up to 2, 4 or 8
 below 9.  No exponent exceeds the weight of its monomial, so no slot
 carries into the next, and the product of two monomials in a Cartan sum is
 one int addition.  At p = 2 every residue is 1, so a Cartan sum, like any
-other sum, keeps the monomials met an odd number of times.  Terms are packed
-where they enter a call (its argument, the seeds) and unpacked where they
-leave it (its result, the sides of an identity when read).
+other sum, keeps the monomials met an odd number of times.  The slot layout
+is `algebra`'s.  Terms are packed where they enter a call (its argument),
+the seeds come from `symmetric` already packed in the call's slots, and
+terms are unpacked where they leave it (its result, the sides of an
+identity when read).
 
 A verification harness checks the two engines against the defining
 axioms, in one pass per class of its test pool: each class x reads every
@@ -41,13 +43,13 @@ hold and builds checks only for those that fail.
 
 from __future__ import annotations
 
-import struct
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from operator import mul
 from typing import NamedTuple
 
-from .algebra import Element, Exps, bidegree_of, polynomial_algebra
+from .algebra import (Element, Exps, bidegree_of, pack_exps, pack_power,
+                      polynomial_algebra, unpack_exps)
 from .modp import Prime, binom_mod_p
 from .models import GroupModel
 from .symmetric import reduced_power_on_elementary
@@ -80,31 +82,6 @@ def apply_P_primitive(i: int, j: int, model: GroupModel, p: Prime) -> Element:
 
 def _weight(exps: Exps) -> int:
     return sum(map(mul, exps, range(1, len(exps) + 1)))
-
-
-# the packed form of one monomial: slots of `width` whole bytes; slots of
-# 2, 4 and 8 bytes go through one struct call, little-endian
-_SLOT_CODES = {2: "H", 4: "I", 8: "Q"}
-
-
-def _pack(width: int, exps: Exps) -> int:
-    if width == 1:
-        return int.from_bytes(bytes(exps), "little")
-    code = _SLOT_CODES.get(width)
-    if code:
-        return int.from_bytes(struct.pack(f"<{len(exps)}{code}", *exps), "little")
-    bits = 8 * width
-    return sum(e << bits * k for k, e in enumerate(exps) if e)
-
-
-def _unpack(width: int, key: int) -> Exps:
-    data = key.to_bytes(-(-key.bit_length() // (8 * width)) * width, "little")
-    if width == 1:
-        return tuple(data)
-    code = _SLOT_CODES.get(width)
-    if code:
-        return struct.unpack(f"<{len(data) // width}{code}", data)
-    return tuple(int.from_bytes(data[k:k + width], "little") for k in range(0, len(data), width))
 
 
 class _Table:
@@ -151,8 +128,8 @@ def _record(table: _Table, key: int, exps: Exps) -> tuple:
         else:
             k = bisect_left(factors, n)  # the n-th factor is c_{k+1}
             e = n - (factors[k - 1] if k else 0)
-            shift = 8 * table.width * k
-            u = (key & ((1 << shift) - 1)) + (e << shift)
+            unit = pack_power(table.width, k + 1)  # c_{k+1}; keys below it are in c_1 .. c_k
+            u = (key & (unit - 1)) + e * unit
             halves = (_record(table, u, exps[:k] + (e,)),
                       _record(table, key - u, (0,) * k + (exps[k] - e,) + exps[k + 1:]))
             weight = halves[0][1] + halves[1][1]
@@ -173,9 +150,8 @@ def _image(table: _Table, rec: tuple, i: int) -> dict[int, int]:
     """
     key, _, halves, images = rec
     p = table.p
-    if isinstance(halves, int):
-        seed = reduced_power_on_elementary(p, i, halves, tables=table.seeds)
-        out = {_pack(table.width, e): c for e, c in seed.items()}
+    if isinstance(halves, int):  # a new dict, packed as the table's monomials
+        out = reduced_power_on_elementary(p, i, halves, tables=table.seeds, width=table.width)
     elif not i:
         out = {key: 1}
     else:
@@ -224,7 +200,7 @@ def _apply_raw(table: _Table, ops, terms: dict[int, int]) -> dict[int, dict[int,
     records, width = table.records, table.width
     parts = {i: [] for i in ops}  # i -> the (coeff, P^i(term)) to sum
     for key, coeff in terms.items():
-        rec = records.get(key) or _record(table, key, _unpack(width, key))
+        rec = records.get(key) or _record(table, key, unpack_exps(width, key))
         _, w, _, images = rec
         for i in ops:
             if i > w:
@@ -289,13 +265,14 @@ def _power_element(i: int, x: Element, p: Prime, table: _Table) -> Element:
     """P^i(x) for a checked x, through the table of the running call."""
     pv, width = p.value, table.width
     terms = x.terms
-    result = _apply_raw(table, (i,), {_pack(width, e): c for e, c in terms.items()})[i]
+    result = _apply_raw(table, (i,), {pack_exps(width, e): c for e, c in terms.items()})[i]
     # P^a(c_k) involves c_1 .. c_{k + a(p-1)} only, so by the Cartan formula
     # the image of a monomial needs no index above its largest one plus
     # i(p-1); monomials of weight below i contribute nothing
     size = max([len(e) + i * (pv - 1) for e in terms if i <= _weight(e)] + [1])
-    return polynomial_algebra(p, size).from_terms({_unpack(width, e): c
-                                                   for e, c in result.items()})
+    # the residues are already reduced and nonzero: no from_terms pass
+    return Element(polynomial_algebra(p, size), {unpack_exps(width, e): c
+                                                 for e, c in result.items()})
 
 
 def decomposable_quotient(x: Element) -> Element:
@@ -332,13 +309,13 @@ class AxiomCheck(NamedTuple):
     def lhs_terms(self) -> dict[Exps, int]:
         """The left side as {exps: residue mod p}, a new dict on each read."""
         width = self.width
-        return {_unpack(width, e): c for e, c in self.packed_lhs.items()}
+        return {unpack_exps(width, e): c for e, c in self.packed_lhs.items()}
 
     @property
     def rhs_terms(self) -> dict[Exps, int]:
         """The right side as {exps: residue mod p}, a new dict on each read."""
         width = self.width
-        return {_unpack(width, e): c for e, c in self.packed_rhs.items()}
+        return {unpack_exps(width, e): c for e, c in self.packed_rhs.items()}
 
     @property
     def lhs(self) -> str:
@@ -477,7 +454,7 @@ def _check_axiom(keep, axiom: str, p: Prime, degree_bound: int, n_generators: in
     pv, width = p.value, table.width
 
     def packed(x: Element) -> dict[int, int]:
-        return {_pack(width, e): c for e, c in x.terms.items()}
+        return {pack_exps(width, e): c for e, c in x.terms.items()}
 
     def top_of(x: Element) -> int:  # the largest i that keeps P^i(x) within the bound
         return (degree_bound - bidegree_of(x).weight) // (pv - 1)

@@ -25,6 +25,13 @@ one int, its value at sigma = 2^B, in slots of B bits wide enough for
 every coefficient met (see _slot_width).  The diagonal i = j, where
 P^j(c_j) = c_j^p, is returned directly.
 
+A seed comes out in its caller's layout.  Given a slot width, each monomial
+is its packed key (see algebra.pack_exps), written as its term is found: at
+p = 2 Wu's one or two slots, and at odd p by one walk over the partitions
+J, which adds each part's slot to the key, and its multiplicity to the
+product of factorials, as it descends.  Without a width the same seed is
+decoded into exponent tuples.
+
 Truncated at degree i, an augmented function or power sum depends on
 (p, i) and the slot width and not on j, so the seeds at one (p, i) can
 fill in and share one table of them.  The caller owns the tables, and so
@@ -48,6 +55,9 @@ p = 2 as well, where Wu's formula would need neither.
 from __future__ import annotations
 
 from math import comb, factorial
+
+from .algebra import pack_power, unpack_exps
+from .modp import Prime
 
 
 # the most partitions a seed may sum over: P^3(c6) at p = 7 sums over 703,
@@ -133,17 +143,6 @@ def _check_size(p: int, i: int, j: int):
                      f"more than the cap of {MAX_SEED_PARTITIONS}")
 
 
-def _partitions(n: int, largest: int, parts: int):
-    """Partitions of n into at most `parts` parts of size at most
-    `largest`, as descending tuples."""
-    if not n:
-        yield ()
-    elif parts:
-        for first in range(min(n, largest), 0, -1):
-            for rest in _partitions(n - first, first, parts - 1):
-                yield (first,) + rest
-
-
 def _slot_width(p: int, i: int, weight: int) -> int:
     """Bits per coefficient of the polynomials in sigma of a seed at (p, i)
     of weight W: B = bits(p * p! * min(2^W, ceil(6W/i)^i)) + 2, or p * p!
@@ -162,19 +161,17 @@ def _slot_width(p: int, i: int, weight: int) -> int:
     return -(-(bound.bit_length() + 2) // 64) * 64
 
 
-def _wu(i: int, j: int) -> dict[tuple[int, ...], int]:
-    """P^i(c_j) at p = 2 for 0 <= i < j, by Wu's formula
-    P^i(c_j) = sum_t C(j-i+t-1, t) c_(i-t) c_(j+t), with c_0 = 1.  By
-    Lucas, C(n, t) is odd exactly when the bits of t lie in those of n."""
+def _wu(i: int, j: int, width: int) -> dict[int, int]:
+    """P^i(c_j) at p = 2 for 0 <= i < j, packed in slots of `width` bytes,
+    by Wu's formula P^i(c_j) = sum_t C(j-i+t-1, t) c_(i-t) c_(j+t), with
+    c_0 = 1.  By Lucas, C(n, t) is odd exactly when the bits of t lie in
+    those of n."""
     out = {}
     for t in range(i + 1):
         n = j - i + t - 1
         if n & t == t:
-            exps = [0] * (j + t)
-            exps[-1] = 1
-            if t < i:
-                exps[i - t - 1] = 1
-            out[tuple(exps)] = 1
+            key = pack_power(width, j + t)
+            out[key + pack_power(width, i - t) if t < i else key] = 1
     return out
 
 
@@ -221,42 +218,62 @@ class _Sums(dict):
         return out
 
 
-def _generating_function(p: int, i: int, j: int, tables: dict) -> dict[tuple[int, ...], int]:
-    """P^i(c_j) for 0 <= i < j by the generating function, at any p; the
-    seeds at p = 2 come from Wu's formula instead, and tests check the
-    two against each other.  `tables` maps (p, i, B) to the _Sums there."""
+def _generating_function(p: int, i: int, j: int, tables: dict,
+                         width: int) -> dict[int, int]:
+    """P^i(c_j) for 0 <= i < j by the generating function, at any p, packed
+    in slots of `width` bytes; the seeds at p = 2 come from Wu's formula
+    instead, and tests check the two against each other.  `tables` maps
+    (p, i, B) to the _Sums there."""
     weight = j + i * (p - 1)
-    width = _slot_width(p, i, weight)
-    augmented = tables.get((p, i, width))
+    bits = _slot_width(p, i, weight)
+    augmented = tables.get((p, i, bits))
     if augmented is None:
-        augmented = tables[p, i, width] = _Sums(p, i, width)
+        augmented = tables[p, i, bits] = _Sums(p, i, bits)
     # in the Chern roots P^i(c_j) is m_(p^i, 1^(j-i)), which expands only
     # into the c_J with J dominating its conjugate (j, i^(p-1)); so J_1 >= j.
-    # m_J is the augmented function over the factorials of J's multiplicities,
-    # whose product is that of each part's running count in exps.  Its
-    # [sigma^i] is the top balanced digit of the packed int
-    shift = width * i
+    # m_J is the augmented function over the factorials of J's
+    # multiplicities; its [sigma^i] is the top balanced digit of the packed int
+    shift = bits * i
     rounding = (1 << shift) >> 1
-    out: dict[tuple[int, ...], int] = {}
-    for first in range(j, weight + 1):
-        for rest in _partitions(weight - first, first, p - 1):
-            parts = (first,) + rest
-            exps = [0] * first
-            factorials = 1
-            for k in parts:
-                exps[k - 1] += 1
-                factorials *= exps[k - 1]
-            coeff = ((augmented[parts] + rounding) >> shift) // factorials % p
-            if coeff:
-                out[tuple(exps)] = coeff
+    # units[k] is the key of c_k, for every part after the first
+    units = [0] + [pack_power(width, k) for k in range(1, weight - j + 1)]
+    out: dict[int, int] = {}
+    # one walk, depth first, over the partitions J: each entry of `stack` is
+    # a descending J in the making, what is left to add to it, its key and
+    # the product of the factorials of its multiplicities, both carried down
+    # as parts are added, and how many of its last parts are equal.  A part
+    # below left / room would leave too much for the room; a part that
+    # leaves nothing ends J, whose term is read at once.  Every first part
+    # from j up leaves at most (p - 1) times itself, as W < pj
+    stack = [((first,), weight - first, pack_power(width, first), 1, 1)
+             for first in range(weight - 1, j - 1, -1)]
+    while stack:
+        parts, left, key, factorials, run = stack.pop()
+        last, room = parts[-1], p - len(parts)
+        # pushed ascending, so popped descending
+        for k in range((left - 1) // room + 1, min(left, last) + 1):
+            equal = run + 1 if k == last else 1
+            more = factorials * equal
+            if k < left:
+                stack.append((parts + (k,), left - k, key + units[k], more, equal))
+            elif coeff := ((augmented[parts + (k,)] + rounding) >> shift) // more % p:
+                out[key + units[k]] = coeff
+    # and the one part (W)
+    if coeff := ((augmented[weight,] + rounding) >> shift) % p:
+        out[pack_power(width, weight)] = coeff
     return out
 
 
-def reduced_power_on_elementary(p: int, i: int, j: int, *,
-                                tables: dict | None = None) -> dict[tuple[int, ...], int]:
-    """P^i(c_j) as {exps: residue mod p}, where exps[k-1] is the exponent
-    of c_k (no trailing zeros), a new dict on each call: by Wu's formula at
-    p = 2, and by the generating function at odd p.
+def reduced_power_on_elementary(p: int, i: int, j: int, *, tables: dict | None = None,
+                                width: int | None = None) -> dict:
+    """P^i(c_j) as a new dict {monomial: residue mod p} on each call: by
+    Wu's formula at p = 2, and by the generating function at odd p.
+
+    With `width`, each monomial is its packed key in slots of `width` bytes
+    (see algebra.pack_exps), the layout of the caller's own monomials; no
+    exponent is above p, so any slots that hold p will do.  Without it,
+    each is its exponent tuple, where exps[k-1] is the exponent of c_k (no
+    trailing zeros): the same seed, decoded.
 
     `tables` maps (p, i, B) to the augmented monomial functions of the
     roots z there, the power sums among them, as polynomials in sigma
@@ -265,16 +282,24 @@ def reduced_power_on_elementary(p: int, i: int, j: int, *,
     of them a seed needs and through B.  They change no result; without
     them the seed fills tables of its own.
 
-    Raises ValueError, before any summing, when the sum would run over more
-    than MAX_SEED_PARTITIONS partitions or take more than MAX_SEED_WORK
-    steps, at p = 2 too."""
+    Raises ValueError for i < 0, j < 0 or a p that is not prime, and,
+    before any summing, when the sum would run over more than
+    MAX_SEED_PARTITIONS partitions or take more than MAX_SEED_WORK steps,
+    at p = 2 too."""
+    Prime(p)  # raises ValueError unless p is prime
+    if i < 0:
+        raise ValueError("operation index must be nonnegative")
+    if j < 0:
+        raise ValueError("Chern class index must be nonnegative")
+    slot_bytes = width or -(-p.bit_length() // 8)  # enough to hold the exponent p
     if i > j:
-        return {}
-    if not j:
-        return {(): 1}
-    if i == j:  # the p-th power axiom: P^j(c_j) = c_j^p
-        return {(0,) * (j - 1) + (p,): 1}
-    _check_size(p, i, j)
-    if p == 2:
-        return _wu(i, j)
-    return _generating_function(p, i, j, {} if tables is None else tables)
+        seed = {}
+    elif i == j:  # the p-th power axiom: P^j(c_j) = c_j^p, and P^0(1) = 1
+        seed = {pack_power(slot_bytes, j, p) if j else 0: 1}
+    else:
+        _check_size(p, i, j)
+        seed = (_wu(i, j, slot_bytes) if p == 2 else
+                _generating_function(p, i, j, {} if tables is None else tables, slot_bytes))
+    if width is None:
+        return {unpack_exps(slot_bytes, key): c for key, c in seed.items()}
+    return seed

@@ -211,11 +211,16 @@ def test_steenrod_seed_work_cap_names_work_and_cap(monkeypatch):
     def no_summing(*args):
         raise AssertionError("the seed started summing")
 
-    monkeypatch.setattr(symmetric, "_partitions", no_summing)
+    # Wu's formula enumerates the terms of a seed at p = 2
+    monkeypatch.setattr(symmetric, "_wu", no_summing)
     code, out, err = run_cli("steenrod", "-p", "2", "--poly", "c1001", "--op", "1000")
     assert (code, out) == (2, "")
     assert err == ("error: P^1000(c1001) at p=2 takes 1003003001 steps (1001 "
                    "partitions times 1001^2), more than the cap of 100000000\n")
+    # the control: with the cap lifted, the seed reaches the patched function
+    monkeypatch.setattr(symmetric, "MAX_SEED_WORK", 10 ** 10)
+    with pytest.raises(AssertionError, match="the seed started summing"):
+        run_cli("steenrod", "-p", "2", "--poly", "c1001", "--op", "1000")
 
 
 def test_steenrod_json():

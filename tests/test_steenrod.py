@@ -8,7 +8,7 @@ from itertools import zip_longest
 import pytest
 
 from stablyfree.algebra import (AlgebraPresentation, Bidegree, bidegree_of,
-                                even_gen, polynomial_algebra)
+                                even_gen, pack_exps, polynomial_algebra, unpack_exps)
 from stablyfree.modp import Prime, binom_mod_p
 from stablyfree.models import GroupModel, TorsionPrimeError
 from stablyfree import steenrod, symmetric
@@ -23,7 +23,7 @@ P2, P3, P5 = Prime(2), Prime(3), Prime(5)
 def _assert_no_table_left():
     # each top-level call owns its image table, with the tables its seeds
     # share, and drops it when it returns; neither layer caches a function
-    assert not any(isinstance(o, steenrod._Table) for o in gc.get_objects())
+    assert not any(isinstance(o, (steenrod._Table, symmetric._Sums)) for o in gc.get_objects())
     for module in (steenrod, symmetric):
         assert not [name for name, f in vars(module).items()
                     if getattr(f, "__module__", None) == module.__name__
@@ -117,6 +117,20 @@ def test_a_seed_handed_out_is_the_callers_own():
     tables, alone = {}, symmetric.reduced_power_on_elementary(3, 1, 3)
     symmetric.reduced_power_on_elementary(3, 1, 3, tables=tables).clear()
     assert symmetric.reduced_power_on_elementary(3, 1, 3, tables=tables) == alone != {}
+
+
+def test_seed_tables_go_when_the_call_returns():
+    # the tables that a call's seeds share are freed by reference counting
+    # as it returns: no cycle keeps them for the collector to find later
+    gc.collect()
+    gc.disable()
+    try:
+        c6 = polynomial_algebra(Prime(7), 6).gen("c6")
+        assert apply_P_polynomial(2, c6, Prime(7)).terms
+        assert symmetric.reduced_power_on_elementary(7, 2, 6, width=1)
+        assert not any(isinstance(o, symmetric._Sums) for o in gc.get_objects())
+    finally:
+        gc.enable()
 
 
 def test_polynomial_examples():
@@ -253,10 +267,10 @@ def test_oracle_agreement_through_target_weight_12(p):
             cases.append((exps, x, ops, wanted))
 
     def packed(table, x):
-        return {steenrod._pack(table.width, e): c for e, c in x.terms.items()}
+        return {pack_exps(table.width, e): c for e, c in x.terms.items()}
 
     def as_map(table, terms):
-        terms = {steenrod._unpack(table.width, e): c for e, c in terms.items()}
+        terms = {unpack_exps(table.width, e): c for e, c in terms.items()}
         return _as_exponent_map(polynomial_algebra(prime, max(map(len, terms), default=1))
                                 .from_terms(terms))
 
@@ -286,9 +300,9 @@ def test_a_single_power_asks_for_the_seeds_it_needs(monkeypatch):
     asked = set()
     seed = steenrod.reduced_power_on_elementary
 
-    def spy(p, i, j, *, tables=None):
+    def spy(p, i, j, *, tables=None, width=None):
         asked.add((p, i, j))
-        return seed(p, i, j, tables=tables)
+        return seed(p, i, j, tables=tables, width=width)
 
     monkeypatch.setattr(steenrod, "reduced_power_on_elementary", spy)
     for p, mono, i, want in ((5, {"c1": 1, "c4": 1}, 4, {(5, 1, 1), (5, 3, 4), (5, 4, 4)}),
@@ -393,8 +407,8 @@ def test_product_of_1500_generators_stays_shallow(monkeypatch):
             super().__init__(p, top)
             tables.append(self)
 
-    real_unpack = steenrod._unpack
-    monkeypatch.setattr(steenrod, "_unpack", unpack)
+    real_unpack = unpack_exps
+    monkeypatch.setattr(steenrod, "unpack_exps", unpack)
     monkeypatch.setattr(steenrod, "_Table", Table)
     n = 1500
     A = polynomial_algebra(P2, n)
@@ -446,7 +460,7 @@ def test_packed_monomials_add_slot_by_slot():
     rng = random.Random(8)
     for top in (0, 1) + SLOT_TOPS:
         width = steenrod._Table(3, top).width
-        pack = partial(steenrod._pack, width)
+        pack = partial(pack_exps, width)
         for _ in range(50):
             n = rng.randint(0, 6)
             a = tuple(rng.randint(0, top // 2) for _ in range(n))
@@ -455,7 +469,7 @@ def test_packed_monomials_add_slot_by_slot():
             key = pack(a) + pack(b)
             while product and not product[-1]:
                 product = product[:-1]
-            assert steenrod._unpack(width, key) == product, (top, a, b)
+            assert unpack_exps(width, key) == product, (top, a, b)
             assert pack(product) == key
 
 
@@ -471,13 +485,13 @@ def test_bytes_codec_agrees_with_shifts():
         exps[-1] = rng.randrange(1, 256)  # no trailing zero
         cases.append(tuple(exps))
     for exps in cases:
-        assert steenrod._unpack(1, steenrod._pack(1, exps)) == exps
+        assert unpack_exps(1, pack_exps(1, exps)) == exps
         for width in (2, 3, 4, 8, 9):
             spread = tuple(b for e in exps for b in (e,) + (0,) * (width - 1))
-            key = steenrod._pack(width, exps)
-            assert key == steenrod._pack(1, spread), (width, exps)
-            assert steenrod._unpack(width, key) == exps, (width, exps)
-            assert steenrod._unpack(1, key) == spread[:len(spread) - width + 1]
+            key = pack_exps(width, exps)
+            assert key == pack_exps(1, spread), (width, exps)
+            assert unpack_exps(width, key) == exps, (width, exps)
+            assert unpack_exps(1, key) == spread[:len(spread) - width + 1]
 
 
 def test_oracle_stability_in_root_count():
@@ -672,10 +686,10 @@ def test_planted_wu_seed_fails_adem_identities_of_each_shape(monkeypatch):
     # single composites with coefficient 1 and sums of more terms
     true_seed = steenrod.reduced_power_on_elementary
 
-    def planted(p, i, j, *, tables=None):
+    def planted(p, i, j, *, tables=None, width=None):
         if (p, i, j) == (2, 1, 2):
-            return {(0, 0, 1): 1}
-        return true_seed(p, i, j, tables=tables)
+            return {(0, 0, 1): 1} if width is None else {pack_exps(width, (0, 0, 1)): 1}
+        return true_seed(p, i, j, tables=tables, width=width)
 
     monkeypatch.setattr(steenrod, "reduced_power_on_elementary", planted)
     report = verify_axiom("adem", P2, 10)

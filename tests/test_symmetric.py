@@ -6,6 +6,7 @@ import pytest
 
 import symmetric_oracle
 from stablyfree import symmetric
+from stablyfree.algebra import pack_exps, unpack_exps
 from stablyfree.symmetric import (MAX_SEED_PARTITIONS, reduced_power_on_elementary,
                                   seed_partition_count, seed_partition_floor)
 from symmetric_oracle import (elementary_monomial_expansion, mul_by_elementary,
@@ -108,6 +109,42 @@ def test_reduced_power_seeds():
     assert reduced_power_on_elementary(3, 5, 2) == {}
 
 
+@pytest.mark.parametrize("p, i, j, message", [
+    (3, -1, 4, "operation index must be nonnegative"),
+    (2, -1, 3, "operation index must be nonnegative"),
+    (3, 1, -2, "Chern class index must be nonnegative"),
+    (2, 0, -1, "Chern class index must be nonnegative"),
+    (4, 1, 3, "4 is not prime"),
+    (1, 1, 3, "1 is not prime"),
+])
+def test_seeds_refuse_bad_arguments(p, i, j, message):
+    # refused at entry, whether a width is asked for or not: no seed is
+    # summed, nor an empty one returned
+    for width in (None, 1):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            reduced_power_on_elementary(p, i, j, width=width)
+
+
+def test_packed_seeds_decode_to_the_tuple_seeds():
+    # with a width, each monomial of the seed is its packed key in slots of
+    # that many bytes: the struct widths 2, 4 and 8, bytes at 1 and shifts
+    # at 9 must all give the tuple seed, out-of-range seeds included
+    seeds = 0
+    for p in (2, 3, 5, 7, 11):
+        tables = {}
+        for j in range(29):
+            for i in range(j + 2):
+                if i <= j and j + i * (p - 1) > 28:
+                    continue
+                want = reduced_power_on_elementary(p, i, j, tables=tables)
+                for width in (1, 2, 4, 8, 9):
+                    packed = reduced_power_on_elementary(p, i, j, tables=tables, width=width)
+                    assert packed == {pack_exps(width, e): c for e, c in want.items()}
+                    assert {unpack_exps(width, key): c for key, c in packed.items()} == want
+                seeds += 1
+    assert seeds == 753
+
+
 def test_reduced_power_linear_coefficient_is_binomial():
     # the coefficient of e_{j + a(p-1)} is C(j-1, a), fundamental for the
     # whole obstruction method; check it on the seeds themselves
@@ -208,11 +245,18 @@ def test_large_seeds_are_refused_uncounted(monkeypatch):
             reduced_power_on_elementary(43, i, i + 1)
 
 
-def test_oversized_seeds_raise_before_summing(monkeypatch):
+def _no_summing(monkeypatch):
+    # patch what enumerates the terms of a seed: the partition walk at odd p
+    # and Wu's formula at p = 2
     def no_summing(*args):
         raise AssertionError("the seed started summing")
 
-    monkeypatch.setattr(symmetric, "_partitions", no_summing)
+    monkeypatch.setattr(symmetric, "_generating_function", no_summing)
+    monkeypatch.setattr(symmetric, "_wu", no_summing)
+
+
+def test_oversized_seeds_raise_before_summing(monkeypatch):
+    _no_summing(monkeypatch)
     for p, i, j, count in [(11, 5, 6, "167672"), (11, 6, 7, "567377"),
                            (31, 2, 3, "1470028"), (97, 1, 2, "more than 105558"),
                            (10007, 3, 20, "more than 105558"),
@@ -220,6 +264,11 @@ def test_oversized_seeds_raise_before_summing(monkeypatch):
         with pytest.raises(ValueError, match=f"P\\^{i}\\(c{j}\\) at p={p} sums over "
                            f"{count} partitions, more than the cap of 100000"):
             reduced_power_on_elementary(p, i, j)
+    # the control: with the cap lifted, a seed reaches the patched functions
+    monkeypatch.setattr(symmetric, "MAX_SEED_PARTITIONS", 200_000)
+    for p, i, j in [(11, 5, 6), (3, 1, 2), (2, 1, 2)]:
+        with pytest.raises(AssertionError, match="the seed started summing"):
+            reduced_power_on_elementary(p, i, j, width=1)
     monkeypatch.undo()
     # the diagonal, the identity and out-of-range seeds are never refused
     assert reduced_power_on_elementary(10007, 5, 5) == {(0, 0, 0, 0, 10007): 1}
@@ -230,17 +279,17 @@ def test_oversized_seeds_raise_before_summing(monkeypatch):
 def test_seeds_over_the_work_cap_raise_before_summing(monkeypatch):
     # P^3(c6) at p=7, the largest seed that the tests, CI and the benchmark
     # reach, takes 703 partitions times 4^2 = 11 248 steps
-    def no_summing(*args):
-        raise AssertionError("the seed started summing")
-
-    monkeypatch.setattr(symmetric, "_partitions", no_summing)
+    _no_summing(monkeypatch)
     monkeypatch.setattr(symmetric, "MAX_SEED_WORK", 11_247)
     with pytest.raises(ValueError) as exc:
         reduced_power_on_elementary(7, 3, 6)
     assert str(exc.value) == ("P^3(c6) at p=7 takes 11248 steps (703 partitions "
                               "times 4^2), more than the cap of 11247")
+    # the control: at a cap of 11 248 it passes, and reaches the patched walk
     monkeypatch.setattr(symmetric, "MAX_SEED_WORK", 11_248)
     symmetric._check_size(7, 3, 6)
+    with pytest.raises(AssertionError, match="the seed started summing"):
+        reduced_power_on_elementary(7, 3, 6)
     monkeypatch.undo()
     # at the cap of 10^8, P^400(c401) at p=2 (401 * 401^2) is allowed, and
     # P^1000(c1001) (1001 * 1001^2) is not
@@ -275,8 +324,9 @@ def test_seeds_at_p2_follow_the_wu_formula():
             want = _wu(i, j)
             assert reduced_power_on_elementary(2, i, j) == want, (i, j)
             seeds += 1
-            if i < j:
-                assert symmetric._generating_function(2, i, j, {}) == want, (i, j)
+            if i < j:  # packed in slots of one byte
+                generating = symmetric._generating_function(2, i, j, {}, 1)
+                assert generating == {pack_exps(1, e): c for e, c in want.items()}, (i, j)
                 generated += 1
     assert (seeds, generated) == (860, 820)
 
