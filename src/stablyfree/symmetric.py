@@ -15,9 +15,9 @@ so P^i(c_j) is the sum of [sigma^i] m_J(z) * c_J over the partitions J
 of W = j + i(p-1) into at most p parts.  The odd primes read their seeds
 off it; at p = 2 it stays callable, as a check on Wu's formula.
 
-Each m_J(z) is an augmented monomial function of z divided by the
+Each m_J(z) is an augmented monomial function M_J of z divided by the
 factorials of J's multiplicities, and the augmented ones are sums of
-products of power sums of z, which Girard-Waring gives in closed form.
+products of power sums P_k of z, which Girard-Waring gives in closed form.
 The arithmetic is over Z, on polynomials in sigma truncated at degree i,
 and is reduced mod p only at the end: Girard-Waring divides by n, which
 p may divide, so dividing mod p would be wrong.  Each such polynomial is
@@ -25,19 +25,30 @@ one int, its value at sigma = 2^B, in slots of B bits wide enough for
 every coefficient met (see _slot_width).  The diagonal i = j, where
 P^j(c_j) = c_j^p, is returned directly.
 
+Only the coefficient of sigma^i of each M_J is read, so it is kept as one
+int, not as a polynomial.  Each J is (A, rho), its first part A followed by
+a rest rho of weight at most i(p-1), and M_(A,rho) = P_A M_rho less the
+M_(A+k, rho - k) over the parts k of rho.  So the digit s(rho) of J is
+[sigma^i](P_A M_rho) less the s(rho - k), the digits of shorter rests: one
+walk over the rests, in lexicographic order, meets each rho - k before rho
+and reads s(rho - k) from a dict.  The polynomials in sigma kept are the
+augmented functions of the rests, in a table, and for the seed alone the
+power sums P_A of its first parts: none of two or more parts at the top
+weight W.
+
 A seed comes out in its caller's layout.  Given a slot width, each monomial
 is its packed key (see algebra.pack_exps), written as its term is found: at
-p = 2 Wu's one or two slots, and at odd p by one walk over the partitions
-J, which adds each part's slot to the key, and its multiplicity to the
+p = 2 Wu's one or two slots, and at odd p by the walk over the rests,
+which adds each part's slot to the key, and its multiplicity to the
 product of factorials, as it descends.  Without a width the same seed is
 decoded into exponent tuples.
 
 Truncated at degree i, an augmented function or power sum depends on
 (p, i) and the slot width and not on j, so the seeds at one (p, i) can
-fill in and share one table of them.  The caller owns the tables, and so
-decides how long they live: the Steenrod layer passes those of its running
-call, and a seed asked for alone gets tables of its own.  Nothing is
-cached across calls.
+fill in and share one table of the functions of their rests.  The caller
+owns the tables, and so decides how long they live: the Steenrod layer
+passes those of its running call, and a seed asked for alone gets tables
+of its own.  Nothing is cached across calls.
 
 Everything is in the stable range: with at least as many roots as the
 total degree, no coefficient depends on the number of roots, so none is
@@ -175,15 +186,28 @@ def _wu(i: int, j: int, width: int) -> dict[int, int]:
     return out
 
 
+def _power_sum(p: int, i: int, width: int, k: int) -> int:
+    """The power sum P_k(z), cut after sigma^i, in slots of `width` bits, by
+    Girard-Waring: [sigma^m] P_k(z) = (-1)^(m(p-1)) k/n C(n, m), where
+    n = k - (p-1)m."""
+    out = 0
+    for m in range(min(i, k // p), -1, -1):
+        n = k - (p - 1) * m
+        out = (out << width) + (-1) ** (m * (p - 1)) * k * comb(n, m) // n
+    return out
+
+
 class _Sums(dict):
     """The augmented monomial functions of the roots z at one (p, i), keyed
     by descending tuples, each filled in on its first lookup; the one-part
-    entry (k,) is the power sum P_k(z).  Each is a polynomial in sigma, cut
-    after degree i, held as its value at sigma = 2^B, one int, where
-    B = `width` bounds every coefficient met: a product is one int product
-    whose slots above degree i are masked off and the rest read as a
-    balanced number, a sum is one int sum.  Entries depend on (p, i, B)
-    alone, and each is stored once complete and never changed."""
+    entry (k,) is the power sum P_k(z).  The seeds look up here the rests
+    of their partitions alone, of weight at most i(p-1), and no function
+    of a seed's top weight.  Each is a polynomial in sigma, cut after
+    degree i, held as its value at sigma = 2^B, one int, where B = `width`
+    bounds every coefficient met: a product is one int product whose
+    slots above degree i are masked off and the rest read as a balanced
+    number, a sum is one int sum.  Entries depend on (p, i, B) alone, and
+    each is stored once complete and never changed."""
 
     def __init__(self, p: int, i: int, width: int):
         super().__init__({(): 1})
@@ -192,13 +216,7 @@ class _Sums(dict):
 
     def __missing__(self, lam: tuple[int, ...]) -> int:
         if len(lam) == 1:
-            # the power sum P_k(z), by Girard-Waring:
-            # [sigma^m] P_k(z) = (-1)^(m(p-1)) k/n C(n, m), n = k - (p-1)m
-            (k,), p, out = lam, self.p, 0
-            for m in range(min(self.i, k // p), -1, -1):
-                n = k - (p - 1) * m
-                out = (out << self.width) + (-1) ** (m * (p - 1)) * k * comb(n, m) // n
-            self[lam] = out
+            out = self[lam] = _power_sum(self.p, self.i, self.width, lam[0])
             return out
         # sum of z_{a_1}^lam_1 z_{a_2}^lam_2 ... over distinct a_1, a_2, ...:
         # P_{lam_1} times the sum for the rest, less the terms with a_1 equal
@@ -229,38 +247,49 @@ def _generating_function(p: int, i: int, j: int, tables: dict,
     augmented = tables.get((p, i, bits))
     if augmented is None:
         augmented = tables[p, i, bits] = _Sums(p, i, bits)
-    # in the Chern roots P^i(c_j) is m_(p^i, 1^(j-i)), which expands only
-    # into the c_J with J dominating its conjugate (j, i^(p-1)); so J_1 >= j.
-    # m_J is the augmented function over the factorials of J's
-    # multiplicities; its [sigma^i] is the top balanced digit of the packed int
+    # J = (A, rho) with J_1 = A >= j (see the module docstring): the walk
+    # relies on each rest rho having at most p - 1 parts, none above A, and
+    # on each rho - k being popped before rho
+    top = i * (p - 1)
     shift = bits * i
-    rounding = (1 << shift) >> 1
-    # units[k] is the key of c_k, for every part after the first
-    units = [0] + [pack_power(width, k) for k in range(1, weight - j + 1)]
-    out: dict[int, int] = {}
-    # one walk, depth first, over the partitions J: each entry of `stack` is
-    # a descending J in the making, what is left to add to it, its key and
-    # the product of the factorials of its multiplicities, both carried down
-    # as parts are added, and how many of its last parts are equal.  A part
-    # below left / room would leave too much for the room; a part that
-    # leaves nothing ends J, whose term is read at once.  Every first part
-    # from j up leaves at most (p - 1) times itself, as W < pj
-    stack = [((first,), weight - first, pack_power(width, first), 1, 1)
-             for first in range(weight - 1, j - 1, -1)]
+    # [sigma^i] of a product is the top balanced digit of its low i + 1
+    # slots: offset by half their range and rounded, masked, shifted down
+    mask = (1 << (shift + bits)) - 1
+    bias = (mask + 1 >> 1) + (1 << shift >> 1)
+    offset = 1 << (bits - 1)
+    # the power sum P_A and the key of c_A for the first part A = W - size
+    # of a rest of each size, and the key of c_k for each part k of a rest
+    powers = [_power_sum(p, i, bits, weight - size) for size in range(top + 1)]
+    firsts = [pack_power(width, weight - size) for size in range(top + 1)]
+    units = [0] + [pack_power(width, k) for k in range(1, top + 1)]
+    # the one part (W), of the empty rest, whose M is 1
+    digits = {0: ((powers[0] * augmented[()] + bias & mask) >> shift) - offset}
+    out = {firsts[0]: coeff} if (coeff := digits[0] % p) else {}
+    # one walk, depth first, over the other rests: each entry of `stack` is
+    # a descending rest, its weight, its key, the product of the factorials
+    # of its multiplicities and how many of its last parts are equal.  A part
+    # is pushed descending, so popped ascending: the walk meets the rests in
+    # lexicographic order, each rho - k before rho
+    stack = [((k,), k, units[k], 1, 1) for k in range(min(top, weight // 2), 0, -1)]
     while stack:
-        parts, left, key, factorials, run = stack.pop()
-        last, room = parts[-1], p - len(parts)
-        # pushed ascending, so popped descending
-        for k in range((left - 1) // room + 1, min(left, last) + 1):
-            equal = run + 1 if k == last else 1
-            more = factorials * equal
-            if k < left:
-                stack.append((parts + (k,), left - k, key + units[k], more, equal))
-            elif coeff := ((augmented[parts + (k,)] + rounding) >> shift) // more % p:
-                out[key + units[k]] = coeff
-    # and the one part (W)
-    if coeff := ((augmented[weight,] + rounding) >> shift) % p:
-        out[pack_power(width, weight)] = coeff
+        rest, size, key, factorials, run = stack.pop()
+        first = weight - size
+        digit = ((powers[size] * augmented[rest] + bias & mask) >> shift) - offset
+        for k in rest:
+            digit -= digits[key - units[k]]
+        digits[key] = digit
+        # A is one more copy of the largest part of the rest when equal to it
+        more = factorials * (rest.count(first) + 1) if rest[0] == first else factorials
+        if coeff := digit // more % p:
+            out[key + firsts[size]] = coeff
+        if len(rest) < p - 1:
+            # a new part k, at most the last, leaves A - k for the first
+            # part: no less than rest[0], while the rest stays within top
+            last = rest[-1]
+            for k in range(min(last, top - size, first - rest[0]), 0, -1):
+                equal = run + 1 if k == last else 1
+                stack.append((rest + (k,), size + k, key + units[k], factorials * equal,
+                              equal))
     return out
 
 
@@ -282,15 +311,17 @@ def reduced_power_on_elementary(p: int, i: int, j: int, *, tables: dict | None =
     of them a seed needs and through B.  They change no result; without
     them the seed fills tables of its own.
 
-    Raises ValueError for i < 0, j < 0 or a p that is not prime, and,
-    before any summing, when the sum would run over more than
-    MAX_SEED_PARTITIONS partitions or take more than MAX_SEED_WORK steps,
-    at p = 2 too."""
+    Raises ValueError for i < 0, j < 0, a p that is not prime or a width
+    whose slots cannot hold p, and, before any summing, when the sum would
+    run over more than MAX_SEED_PARTITIONS partitions or take more than
+    MAX_SEED_WORK steps, at p = 2 too."""
     Prime(p)  # raises ValueError unless p is prime
     if i < 0:
         raise ValueError("operation index must be nonnegative")
     if j < 0:
         raise ValueError("Chern class index must be nonnegative")
+    if width is not None and (width < 1 or p.bit_length() > 8 * width):
+        raise ValueError(f"{width}-byte slots cannot hold the exponent {p}")
     slot_bytes = width or -(-p.bit_length() // 8)  # enough to hold the exponent p
     if i > j:
         seed = {}

@@ -9,6 +9,7 @@ import pytest
 
 from stablyfree.algebra import (AlgebraPresentation, Bidegree, bidegree_of,
                                 even_gen, pack_exps, polynomial_algebra, unpack_exps)
+from stablyfree.cli import parse_polynomial
 from stablyfree.modp import Prime, binom_mod_p
 from stablyfree.models import GroupModel, TorsionPrimeError
 from stablyfree import steenrod, symmetric
@@ -742,3 +743,36 @@ def test_adem_harness_work_is_pinned(p, bound, monkeypatch):
     tables.clear()
     assert work == ADEM_COLD_WORK[p, bound]
     assert calls["plans"] == 1
+
+
+# the work of each steenrod --poly query of the powers-p7 benchmark:
+# (p, polynomial, operation) -> (seed calls, entries of the seeds' _Sums).
+# A round's entries total 1 847; they were 3 660 while the tables also
+# held the augmented functions of each seed's top weight
+POWERS_P7_WORK = {(7, "c6", 2): (1, 226), (7, "c7", 2): (1, 227), (5, "c4", 4): (1, 0),
+                  (7, "c1*c6", 2): (3, 256), (7, "c2*c4", 2): (4, 247),
+                  (7, "c2*c5", 2): (4, 254), (7, "c1*c7", 2): (3, 257),
+                  (7, "c3*c4", 2): (4, 247), (5, "c1*c4", 4): (3, 133)}
+
+
+@pytest.mark.parametrize("p, poly, op", sorted(POWERS_P7_WORK))
+def test_powers_p7_seed_work_is_pinned(p, poly, op, monkeypatch):
+    # the seeds asked for and the augmented functions they fill in; the
+    # benchmark's products carry a random coefficient, which no seed reads
+    sums, calls = [], [0]
+    init, seed = symmetric._Sums.__init__, steenrod.reduced_power_on_elementary
+
+    def sums_init(self, *args):
+        init(self, *args)
+        sums.append(self)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return seed(*args, **kwargs)
+
+    monkeypatch.setattr(symmetric._Sums, "__init__", sums_init)
+    monkeypatch.setattr(steenrod, "reduced_power_on_elementary", counted)
+    apply_P_polynomial(op, parse_polynomial(poly, Prime(p)), Prime(p))
+    work = (calls[0], sum(map(len, sums)))
+    sums.clear()
+    assert work == POWERS_P7_WORK[p, poly, op]

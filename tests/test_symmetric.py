@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from itertools import combinations, permutations
 
 import pytest
@@ -116,13 +117,19 @@ def test_reduced_power_seeds():
     (2, 0, -1, "Chern class index must be nonnegative"),
     (4, 1, 3, "4 is not prime"),
     (1, 1, 3, "1 is not prime"),
+    (257, 1, 1, "1-byte slots cannot hold the exponent 257"),
 ])
 def test_seeds_refuse_bad_arguments(p, i, j, message):
     # refused at entry, whether a width is asked for or not: no seed is
-    # summed, nor an empty one returned
-    for width in (None, 1):
+    # summed, nor an empty one returned.  A byte cannot hold p = 257, so
+    # only the width of one byte is refused there; without a width the
+    # seed takes slots that hold p
+    for width in (1,) if p > 255 else (None, 1):
         with pytest.raises(ValueError, match=f"^{message}$"):
             reduced_power_on_elementary(p, i, j, width=width)
+    if p > 255:
+        assert reduced_power_on_elementary(p, i, j) == {(p,): 1}
+        assert reduced_power_on_elementary(p, i, j, width=2) == {pack_exps(2, (p,)): 1}
 
 
 def test_packed_seeds_decode_to_the_tuple_seeds():
@@ -232,6 +239,65 @@ def test_seed_partition_floor_is_below_the_count():
                 seeds += 1
                 uncounted += floor > MAX_SEED_PARTITIONS
     assert (seeds, uncounted) == (3360, 58)
+
+
+class _RestReads(symmetric._Sums):
+    """A _Sums that counts the lookups made from outside it, which are the
+    seed walk's: one per rest it reads.  Lookups that fill an entry in
+    turn are not counted."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.depth, self.reads = 0, []
+
+    def __getitem__(self, lam):
+        if not self.depth:
+            self.reads.append(lam)
+        self.depth += 1
+        try:
+            return super().__getitem__(lam)
+        finally:
+            self.depth -= 1
+
+
+def test_the_walk_reads_as_many_partitions_as_the_cap_counts():
+    # the cap counts the partitions of a seed in closed form; the walk must
+    # read each of them once, as the rest after its first part, the one
+    # part J = (W) and its empty rest included
+    seeds = 0
+    for p in (3, 5, 7, 11):
+        for j in range(2, 31):
+            for i in range(1, j):
+                weight = j + i * (p - 1)
+                if weight > 30:
+                    break
+                bits = symmetric._slot_width(p, i, weight)
+                sums = _RestReads(p, i, bits)
+                seed = reduced_power_on_elementary(p, i, j, tables={(p, i, bits): sums})
+                assert seed == reduced_power_on_elementary(p, i, j), (p, i, j)
+                assert len(set(sums.reads)) == len(sums.reads), (p, i, j)
+                assert len(sums.reads) == seed_partition_count(p, i, j), (p, i, j)
+                assert all(sum(rest) <= i * (p - 1) for rest in sums.reads), (p, i, j)
+                seeds += 1
+    assert seeds == 287
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_a_seed_of_a_large_class_and_few_partitions_stays_small(width):
+    # P^1(c20000) at p = 3 sums over four partitions of W = 20 002.  Each of
+    # its keys holds W slots, so the walk may make O(i(p-1)) of them, one
+    # per first part, but not one per part size up to W: that took 428 MB
+    # at width 2, where the seed below peaks at about 0.3 MB
+    tracemalloc.start()
+    try:
+        seed = reduced_power_on_elementary(3, 1, 20_000, width=width)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert {unpack_exps(width, key): c for key, c in seed.items()} == \
+        reduced_power_on_elementary(3, 1, 20_000)
+    assert len(seed) == 4
+    assert peak < 4_000_000
 
 
 def test_large_seeds_are_refused_uncounted(monkeypatch):
